@@ -1,6 +1,6 @@
 """Layer normalization and its dynamic element-wise counterparts.
 
-Provides LN/RMSNorm with exact analytic derivatives, the scaled DyT and
+Provides LN with its exact analytic derivative, the scaled DyT and
 DyISRU activation families, numerical identity checks, a deterministic
 outlier simulation, and scalar least-squares fitting of the activation
 parameters.
@@ -13,7 +13,6 @@ from dynact.core_math import (
     layer_norm,
     ln_derivative_analytic,
     norm_stats,
-    rms_norm,
 )
 from dynact.activations import (
     BETA_MIN,
@@ -21,7 +20,6 @@ from dynact.activations import (
     DyTParams,
     beta_exact,
     dyisru,
-    dyisru_general,
     isru,
     scaled_dyt,
 )
@@ -32,7 +30,6 @@ from dynact.fitting import (
     fit_dyisru,
     fit_dyt,
     mirror_augment,
-    residual_stats,
 )
 from dynact.simulation import (
     EmptyOutliers,
@@ -62,7 +59,6 @@ __all__ = [
     "VerificationReport",
     "beta_exact",
     "dyisru",
-    "dyisru_general",
     "fit_dyisru",
     "fit_dyt",
     "isru",
@@ -71,8 +67,6 @@ __all__ = [
     "mirror_augment",
     "norm_stats",
     "outlier_points",
-    "residual_stats",
-    "rms_norm",
     "run_all_checks",
     "run_scenario",
     "sample_base",

@@ -35,14 +35,17 @@ class DyTParams:
 
 @dataclass(frozen=True)
 class DyISRUParams:
-    """Denominator offset beta > 0, channel count C >= 2, and center mu."""
+    """Denominator offset beta > 0, channel count C >= 2, and center mu.
 
-    beta: float
+    ``beta`` is a scalar or a per-channel array that broadcasts against x.
+    """
+
+    beta: float | np.ndarray
     channels: int
     mu: float = 0.0
 
     def __post_init__(self):
-        if not (self.beta > 0):
+        if not np.all(np.asarray(self.beta) > 0):
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.channels < 2:
             raise ValueError(f"channels must be >= 2, got {self.channels}")
@@ -53,17 +56,10 @@ def scaled_dyt(x, p: DyTParams):
     return math.sqrt(p.channels - 1) * np.tanh(p.alpha * np.asarray(x, dtype=np.float64))
 
 
-def dyisru_general(x, p: DyISRUParams):
-    """sqrt(C-1) * (x - mu) / sqrt(beta + (x - mu)^2)."""
+def dyisru(x, p: DyISRUParams):
+    """sqrt(C-1) * (x - mu) / sqrt(beta + (x - mu)^2); mu = 0 is the outlier form."""
     u = np.asarray(x, dtype=np.float64) - p.mu
     return math.sqrt(p.channels - 1) * u / np.sqrt(p.beta + u * u)
-
-
-def dyisru(x, p: DyISRUParams):
-    """The outlier form sqrt(C-1) * x / sqrt(beta + x^2); requires mu = 0."""
-    if p.mu != 0.0:
-        raise ValueError("dyisru requires mu = 0; use dyisru_general for mu != 0")
-    return dyisru_general(x, p)
 
 
 def isru(x, alpha: float):
@@ -74,13 +70,14 @@ def isru(x, alpha: float):
     return xa / np.sqrt(1.0 + alpha * xa * xa)
 
 
-def beta_exact(x, i: int) -> float:
-    """Channel-exact beta making DyISRU-general reproduce layer_norm on channel i.
+def beta_exact(x, i):
+    """Channel-exact beta making DyISRU with mu = mean(x) reproduce layer_norm on channel i.
 
     Equals (C-1) * var_excluding_i - var, where var_excluding_i uses divisor
     C-1 over the channels k != i. Always >= 0 analytically (it is a squared
     integration constant); may be exactly 0, so clamp with BETA_MIN before
-    building DyISRUParams from it.
+    building DyISRUParams from it. An int ``i`` gives a float, an integer
+    index array gives the array of betas at those channels.
     """
     arr = as_channel_vector(x)
     c = arr.size
@@ -89,4 +86,5 @@ def beta_exact(x, i: int) -> float:
     sq = dev * dev
     var = float(np.mean(sq))
     # (C-1) * var_excluding_i is just the deviation sum of squares without i
-    return float(np.sum(sq) - sq[i] - var)
+    beta = np.sum(sq) - sq[i] - var
+    return float(beta) if np.ndim(beta) == 0 else beta

@@ -1,4 +1,4 @@
-"""Layer normalization, RMSNorm, channel statistics, and the analytic LN derivative.
+"""Layer normalization, channel statistics, and the analytic LN derivative.
 
 All operations act on a single channel vector (one token representation of
 length C >= 2) and use population statistics (divisor C). Everything is pure
@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this variance (or mean square, for RMSNorm) the input is treated as
-# constant and normalization is refused instead of regularized.
+# Below this variance the input is treated as constant and normalization is
+# refused instead of regularized.
 VAR_EPSILON = 1e-24
 
 
@@ -44,11 +44,16 @@ def as_channel_vector(x) -> np.ndarray:
     return arr
 
 
-def _check_index(i: int, c: int) -> int:
-    i = int(i)
-    if not 0 <= i < c:
-        raise IndexOutOfRange(f"channel index {i} outside [0, {c})")
-    return i
+def _check_index(i, c: int):
+    """Validate a channel index or integer index array against [0, C).
+
+    Negative entries are refused rather than wrapped as numpy would.
+    """
+    idx = np.asarray(i, dtype=np.int64)
+    bad = (idx < 0) | (idx >= c)
+    if np.any(bad):
+        raise IndexOutOfRange(f"channel index {idx[bad].flat[0]} outside [0, {c})")
+    return idx
 
 
 def norm_stats(x) -> NormStats:
@@ -71,23 +76,13 @@ def layer_norm(x) -> np.ndarray:
     return (arr - mean) / np.sqrt(var)
 
 
-def rms_norm(x) -> np.ndarray:
-    """Scale by the root mean square of the channels; no centering."""
-    arr = as_channel_vector(x)
-    ms = np.mean(arr**2)
-    if ms <= VAR_EPSILON:
-        raise DegenerateVariance(
-            f"mean square {ms:.3g} is at or below the degeneracy threshold {VAR_EPSILON:.0e}"
-        )
-    return arr / np.sqrt(ms)
-
-
-def ln_derivative_analytic(x, i: int) -> float:
+def ln_derivative_analytic(x, i):
     """Closed-form d(layer_norm(x)_i)/dx_i.
 
     Equals F(x) * (C - 1 - y_i^2) with F(x) = 1 / (C * sqrt(variance)) and
     y = layer_norm(x). Zero exactly when y_i hits the extremum +-sqrt(C-1).
-    Channel index ``i`` is 0-based.
+    Channel index ``i`` is 0-based: an int gives a float, an integer index
+    array gives the array of derivatives at those channels.
     """
     arr = as_channel_vector(x)
     c = arr.size
@@ -95,4 +90,5 @@ def ln_derivative_analytic(x, i: int) -> float:
     y = layer_norm(arr)
     var = np.mean((arr - arr.mean()) ** 2)
     f = 1.0 / (c * np.sqrt(var))
-    return float(f * (c - 1 - y[i] ** 2))
+    d = f * (c - 1 - y[i] ** 2)
+    return float(d) if np.ndim(d) == 0 else d

@@ -218,9 +218,3 @@ def fit_dyisru(data: FitDataset) -> FitResult:
         return root * x / np.sqrt(beta + x * x)
 
     return _fit_scalar("dyisru", data, model, theta0, BETA_DOMAIN)
-
-
-def residual_stats(result: FitResult) -> tuple[float, float]:
-    """(mean absolute residual, max absolute residual) over the unmirrored points."""
-    absr = [abs(r) for r in result.residuals]
-    return (sum(absr) / len(absr), max(absr))

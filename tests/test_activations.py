@@ -11,7 +11,6 @@ from dynact.activations import (
     DyTParams,
     beta_exact,
     dyisru,
-    dyisru_general,
     isru,
     scaled_dyt,
 )
@@ -39,6 +38,12 @@ class TestParams:
             DyISRUParams(beta=-1.0, channels=10)
         with pytest.raises(ValueError):
             DyISRUParams(beta=1.0, channels=1)
+        # a per-channel beta must be > 0 in every entry
+        DyISRUParams(beta=np.array([0.5, 2.0]), channels=2)
+        with pytest.raises(ValueError):
+            DyISRUParams(beta=np.array([0.5, 0.0]), channels=2)
+        with pytest.raises(ValueError):
+            DyISRUParams(beta=np.array([0.5, np.nan]), channels=2)
 
 
 class TestScaledDyt:
@@ -86,16 +91,19 @@ class TestScaledDyt:
 class TestDyisru:
     def test_odd_about_mu(self):
         p = DyISRUParams(beta=2.0, channels=10, mu=3.0)
-        assert float(dyisru_general(3.0, p)) == 0.0
-        assert float(dyisru_general(3.0 + 1.5, p)) == -float(dyisru_general(3.0 - 1.5, p))
+        assert float(dyisru(3.0, p)) == 0.0
+        assert float(dyisru(3.0 + 1.5, p)) == -float(dyisru(3.0 - 1.5, p))
 
     def test_asymptote(self):
         p = DyISRUParams(beta=1.0, channels=2)
-        assert float(dyisru_general(1e12, p)) == pytest.approx(1.0, rel=1e-12)
+        assert float(dyisru(1e12, p)) == pytest.approx(1.0, rel=1e-12)
 
     def test_hand_arithmetic_general(self):
         p = DyISRUParams(beta=3.0, channels=5)
-        assert float(dyisru_general(1.0, p)) == pytest.approx(1.0, rel=1e-15)
+        assert float(dyisru(1.0, p)) == pytest.approx(1.0, rel=1e-15)
+        # the same point shifted by mu
+        p = DyISRUParams(beta=3.0, channels=5, mu=0.5)
+        assert float(dyisru(1.5, p)) == pytest.approx(1.0, rel=1e-15)
 
     def test_hand_arithmetic_outlier_form(self):
         assert float(dyisru(1.0, DyISRUParams(beta=1.0, channels=2))) == pytest.approx(
@@ -105,10 +113,6 @@ class TestDyisru:
         expected = math.sqrt(99.0) * 45.0 / math.sqrt(301.1 + 45.0**2)
         assert float(dyisru(45.0, DyISRUParams(beta=301.1, channels=100))) == expected
         assert expected == pytest.approx(9.284, abs=1e-3)
-
-    def test_requires_centered_params(self):
-        with pytest.raises(ValueError):
-            dyisru(1.0, DyISRUParams(beta=1.0, channels=2, mu=0.5))
 
     @given(xs, betas, channel_counts)
     def test_odd(self, x, beta, c):
@@ -178,14 +182,22 @@ class TestBetaExact:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             beta_exact([1.0, 2.0], 2)
+        with pytest.raises(IndexOutOfRange):
+            beta_exact([1.0, 2.0, 4.0], np.array([1, -1]))
+        with pytest.raises(IndexOutOfRange):
+            beta_exact([1.0, 2.0, 4.0], np.array([3, 0]))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             c = rng.integers(2, 101)
             x = rng.normal(scale=rng.uniform(0.1, 10.0), size=c)
-            for i in range(c):
-                assert beta_exact(x, i) >= -1e-12
+            scalar = [beta_exact(x, i) for i in range(c)]
+            assert all(isinstance(b, float) and b >= -1e-12 for b in scalar)
+            # an index array gives the scalar calls' values bit for bit
+            idx = np.arange(c)
+            np.testing.assert_array_equal(beta_exact(x, idx), scalar)
+            np.testing.assert_array_equal(beta_exact(x, idx[::-1]), scalar[::-1])
 
     def test_ln_equivalence_brute_force(self):
         # channel-exact beta reproduces layer normalization per channel
@@ -197,13 +209,17 @@ class TestBetaExact:
             mu = float(np.mean(x))
             for i in range(c):
                 beta = max(beta_exact(x, i), BETA_MIN)
-                d = float(dyisru_general(x[i], DyISRUParams(beta=beta, channels=c, mu=mu)))
+                d = float(dyisru(x[i], DyISRUParams(beta=beta, channels=c, mu=mu)))
                 assert d == pytest.approx(y[i], rel=1e-10)
+            # the whole vector at once, with a per-channel beta
+            beta = np.maximum(beta_exact(x, np.arange(c)), BETA_MIN)
+            d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=mu))
+            np.testing.assert_allclose(d, y, rtol=1e-10)
 
     def test_theorem4_worked_example(self):
         x = [3.0, 0.0, 0.0]
         y = layer_norm(x)
-        d = dyisru_general(0.0, DyISRUParams(beta=3.0, channels=3, mu=1.0))
+        d = dyisru(0.0, DyISRUParams(beta=3.0, channels=3, mu=1.0))
         assert float(d) == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-14)
         assert float(d) == pytest.approx(y[1], rel=1e-14)
 

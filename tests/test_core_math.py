@@ -11,7 +11,6 @@ from dynact.core_math import (
     layer_norm,
     ln_derivative_analytic,
     norm_stats,
-    rms_norm,
 )
 from dynact.verification import ln_derivative_fd
 
@@ -90,23 +89,6 @@ class TestLayerNorm:
         assert np.all(np.diff(y1[order]) >= -1e-10)
 
 
-class TestRmsNorm:
-    def test_unit_rms(self):
-        np.testing.assert_array_equal(rms_norm([1.0, -1.0]), [1.0, -1.0])
-
-    def test_uniform_scaling(self):
-        np.testing.assert_array_equal(rms_norm([2.0, 2.0]), [1.0, 1.0])
-
-    def test_hand_arithmetic(self):
-        # (3, 4): mean square (9 + 16) / 2 = 12.5
-        expected = [3.0 / math.sqrt(12.5), 4.0 / math.sqrt(12.5)]
-        np.testing.assert_allclose(rms_norm([3.0, 4.0]), expected, rtol=1e-15)
-
-    def test_zero_vector_refused(self):
-        with pytest.raises(DegenerateVariance):
-            rms_norm([0.0, 0.0])
-
-
 class TestLnDerivative:
     def test_extremum_gives_zero(self):
         # C = 2 pins y at +-1 = +-sqrt(C-1), so the derivative vanishes
@@ -124,6 +106,11 @@ class TestLnDerivative:
             ln_derivative_analytic([1.0, 2.0, 3.0], 3)
         with pytest.raises(IndexOutOfRange):
             ln_derivative_analytic([1.0, 2.0, 3.0], -1)
+        # negative entries are refused, not wrapped as numpy would
+        with pytest.raises(IndexOutOfRange):
+            ln_derivative_analytic([1.0, 2.0, 3.0], np.array([0, -1, 2]))
+        with pytest.raises(IndexOutOfRange):
+            ln_derivative_analytic([1.0, 2.0, 3.0], np.array([0, 3, 2]))
 
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVariance):
@@ -146,7 +133,14 @@ class TestLnDerivative:
         for _ in range(20):
             x = rng.uniform(0.1, 10.0) * rng.normal(size=c)
             fd = ln_derivative_fd(x)
+            scalar = []
             for i in range(c):
                 analytic = ln_derivative_analytic(x, i)
+                assert isinstance(analytic, float)
+                scalar.append(analytic)
                 err = abs(analytic - fd[i])
                 assert err <= 1e-8 or err / abs(fd[i]) <= 1e-6
+            # an index array gives the scalar calls' values bit for bit
+            idx = np.arange(c)
+            np.testing.assert_array_equal(ln_derivative_analytic(x, idx), scalar)
+            np.testing.assert_array_equal(ln_derivative_analytic(x, idx[::-1]), scalar[::-1])

@@ -10,7 +10,6 @@ from dynact.fitting import (
     fit_dyisru,
     fit_dyt,
     mirror_augment,
-    residual_stats,
 )
 from dynact.simulation import SimulationConfig, outlier_points, run_scenario
 
@@ -152,14 +151,12 @@ class TestBracketFailure:
 
 
 class TestFitResult:
-    def test_residual_stats(self):
+    def test_residuals_match_sse_and_mae(self):
         scenario = run_scenario(SimulationConfig(seed=1))
         data = mirror_augment(outlier_points(scenario), channels=100)
         result = fit_dyt(data)
-        mae, max_abs = residual_stats(result)
-        assert mae == pytest.approx(result.mae, rel=1e-15)
-        assert max_abs == max(abs(r) for r in result.residuals)
-        assert mae <= max_abs
+        mae = sum(abs(r) for r in result.residuals) / len(result.residuals)
+        assert result.mae == pytest.approx(mae, rel=1e-15)
         # internal consistency over the unmirrored points
         assert result.sse == pytest.approx(sum(r * r for r in result.residuals), rel=1e-15)
         assert result.n_points == 9

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -115,3 +116,29 @@ class TestReport:
         )
         report.checks.append(failed)
         assert not report.verdict
+
+
+# sha256 of run_all_checks(seed, trials).to_json() for the per-channel scalar
+# implementation these checks replaced; the whole-vector one must match it
+# byte for byte.
+GOLDEN_REPORT_SHA256 = {
+    (0, 10): "b258529d1819b2eb21bf74d09874741c23870076527a28ec40e0a9a456a8d978",
+    (1, 10): "40502f364d02454b97389ab0fcdbba07f176e197a8374e5644b826a48b45b570",
+    (2, 10): "357a185f3994b838ffa11339dd8a5a22a1692afad82cdb5f4d3f37938fbc1ebe",
+    (3, 10): "849a67e5064e16acedf8b34b2add841907b9c41562f773d848315cd05fb26398",
+    (4, 10): "bc9551e15675a697edb683cca545ccffc71c33041cb4eeb930dfd5bdf5e3393e",
+    (5, 10): "b477610f22d1177df4203930a0c9230f57e000d7dbf7d57262e1493e23ba1391",
+    (6, 10): "c3299471731bf1c9f7ea79b61b03a1137512d85d4d48123c661397cda822f0e9",
+    (7, 10): "f0fc5ab57b608bd889bad80f2212815b2a51e9ae17c489f920f63d80f428f335",
+    (8, 10): "1f0b5fe1a87024b4430aba04a24189a267c71ce24594c05ffc9b5627050b1d99",
+    (9, 10): "d5b370cb30ed767ba3871a13d2d02fae295eef3b5440d0f0955db351c586cb3e",
+    (1, 100): "4b4414e9522fcba7af0259c0d6a6ff4305c0041132bf2ca95250dcc6dc66450e",
+}
+
+
+def test_report_bytes_match_golden():
+    got = {
+        key: hashlib.sha256(run_all_checks(*key).to_json().encode()).hexdigest()
+        for key in GOLDEN_REPORT_SHA256
+    }
+    assert got == GOLDEN_REPORT_SHA256
