@@ -38,6 +38,8 @@ class DyISRUParams:
     """Denominator offset beta > 0, channel count C >= 2, and center mu.
 
     ``beta`` is a scalar or a per-channel array that broadcasts against x.
+    Two params are equal when their betas have the same shape and values and
+    their channels and mu are equal, so a scalar beta never equals an array.
     """
 
     beta: float | np.ndarray
@@ -49,6 +51,19 @@ class DyISRUParams:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.channels < 2:
             raise ValueError(f"channels must be >= 2, got {self.channels}")
+
+    def _key(self) -> tuple:
+        # beta > 0 rules out NaN and -0.0, so equal bytes means equal values
+        beta = np.asarray(self.beta, dtype=np.float64)
+        return (beta.shape, beta.tobytes(), self.channels, self.mu)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def scaled_dyt(x, p: DyTParams):

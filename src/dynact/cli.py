@@ -44,6 +44,10 @@ FIG1_ALPHAS = (0.25, 0.5, 1.0)
 FIG1_BETAS = (4.0, 25.0, 100.0)
 FIG1_XMAX = 15.0
 
+# Frames drawn by `figures`, and by `simulate` without --frames (there clipped
+# to s_max).
+DEFAULT_FRAMES = (0, 1, 2, 9)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -65,7 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--step", type=float, default=5.0)
     p_sim.add_argument("--s-max", type=int, default=9)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--frames", default="0,1,2,9", help="comma-separated frame indices to plot")
+    p_sim.add_argument(
+        "--frames", default=None,
+        help="comma-separated frame indices to plot, each in [0, s-max] (default: 0,1,2,9 up to s-max)",
+    )
     p_sim.add_argument("--out", default="out")
     p_sim.add_argument("--json", action="store_true")
 
@@ -173,19 +180,28 @@ def cmd_simulate(args) -> int:
         s_max=args.s_max,
         seed=args.seed,
     )
-    try:
-        frames = [int(s) for s in str(args.frames).split(",") if s.strip() != ""]
-    except ValueError:
-        print(f"dynact simulate: bad --frames value {args.frames!r}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.frames is None:
+        frames = [s for s in DEFAULT_FRAMES if s <= config.s_max]
+    else:
+        try:
+            frames = [int(s) for s in args.frames.split(",") if s.strip() != ""]
+        except ValueError:
+            print(f"dynact simulate: bad --frames value {args.frames!r}", file=sys.stderr)
+            return EXIT_USAGE
+        outside = [s for s in frames if not 0 <= s <= config.s_max]
+        if outside:
+            print(
+                f"dynact simulate: --frames {','.join(map(str, outside))} outside the valid "
+                f"range [0, {config.s_max}] set by --s-max",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     scenario = run_scenario(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = ["scenario.csv"]
     write_scenario_csv(scenario, out_dir / "scenario.csv")
     for s in frames:
-        if not 0 <= s <= config.s_max:
-            continue
         name = f"frame_s{s}.svg"
         _write_text(out_dir / name, render_figure([_frame_panel(scenario, s)]))
         artifacts.append(name)
@@ -278,7 +294,7 @@ def cmd_figures(args) -> int:
     scenario = run_scenario(config)
     write_scenario_csv(scenario, out_dir / "scenario.csv")
     artifacts.append("scenario.csv")
-    for s in (0, 1, 2, 9):
+    for s in DEFAULT_FRAMES:
         name = f"frame_s{s}.svg"
         _write_text(out_dir / name, render_figure([_frame_panel(scenario, s)]))
         artifacts.append(name)

@@ -64,16 +64,21 @@ def norm_stats(x) -> NormStats:
     return NormStats(mean=mean, variance=variance)
 
 
-def layer_norm(x) -> np.ndarray:
-    """Center and scale: y_i = (x_i - mean) / sqrt(population variance)."""
-    arr = as_channel_vector(x)
-    mean = arr.mean()
-    var = np.mean((arr - mean) ** 2)
+def _centered(arr: np.ndarray) -> tuple[np.ndarray, np.floating]:
+    """Deviations x - mean and population variance; refuses a (near-)constant vector."""
+    dev = arr - arr.mean()
+    var = np.mean(dev**2)
     if var <= VAR_EPSILON:
         raise DegenerateVariance(
             f"variance {var:.3g} is at or below the degeneracy threshold {VAR_EPSILON:.0e}"
         )
-    return (arr - mean) / np.sqrt(var)
+    return dev, var
+
+
+def layer_norm(x) -> np.ndarray:
+    """Center and scale: y_i = (x_i - mean) / sqrt(population variance)."""
+    dev, var = _centered(as_channel_vector(x))
+    return dev / np.sqrt(var)
 
 
 def ln_derivative_analytic(x, i):
@@ -87,8 +92,8 @@ def ln_derivative_analytic(x, i):
     arr = as_channel_vector(x)
     c = arr.size
     i = _check_index(i, c)
-    y = layer_norm(arr)
-    var = np.mean((arr - arr.mean()) ** 2)
-    f = 1.0 / (c * np.sqrt(var))
-    d = f * (c - 1 - y[i] ** 2)
+    dev, var = _centered(arr)
+    sd = np.sqrt(var)
+    y_i = dev[i] / sd
+    d = (1.0 / (c * sd)) * (c - 1 - y_i**2)
     return float(d) if np.ndim(d) == 0 else d

@@ -1,18 +1,44 @@
 """Deterministic counter-based PRNG with Box-Muller Gaussian sampling.
 
-The raw stream is the splitmix64 output sequence: the value at counter i is
-``finalize(key + (i + 1) * GOLDEN)`` with the standard 64-bit finalizer.
-Streams are keyed by (seed, stream name) so independent consumers derived
-from the same seed never overlap. Given the same seed and IEEE-754 doubles,
-the same draws come out on every run.
+Stream contract. The raw stream is the splitmix64 output sequence: the word
+at counter i (i = 1, 2, ...) is ``finalize(key + i * GOLDEN) mod 2**64`` with
+the standard 64-bit finalizer. Streams are keyed by (seed, stream name), so
+independent consumers derived from the same seed never overlap. Every draw
+takes the next counter value(s) in order:
+
+- ``u64`` takes one word; ``uniform_halfopen`` is ``(word >> 11) * 2**-53``
+  and ``uniform`` scales it; ``randint`` reduces one word modulo the range.
+- ``normals(n)`` takes 2n words. Draw k uses words 2k+1 and 2k+2 after the
+  current counter: ``u1 = ((w1 >> 11) + 1) * 2**-53`` in (0, 1],
+  ``u2 = (w2 >> 11) * 2**-53`` in [0, 1), and the value is
+  ``sqrt(-2 log u1) * cos(2 pi u2)``.
+
+Because each word depends only on its counter, ``normals`` computes the
+whole counter range at once with wrapping ``np.uint64`` arithmetic. ``u1``
+and ``u2`` are exact, and multiplication and sqrt are correctly rounded, so
+numpy reproduces those steps bit for bit. ``log`` and ``cos`` are not
+correctly rounded: numpy's own versions differ from the C library's in the
+last bit on about 0.2% of draws, so they go through ``math.log`` and
+``math.cos``. Given the same seed and the same C library, the same draws
+come out on every run, and the CSV and JSON artifacts built from them are
+byte-identical.
+
+Any change to the values this module returns, or to how many counter values
+a draw takes, is a new stream version: record it explicitly in CHANGES.md.
+``tests/test_rng.py`` freezes the current stream.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -22,9 +48,28 @@ _TWO_PI = 2.0 * math.pi
 
 def _finalize(z: int) -> int:
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
+
+
+# uint64 operands, so the array arithmetic stays in uint64 (wrapping mod 2**64)
+# on every numpy version
+_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+
+
+def _words(key: int, first: int, count: int) -> np.ndarray:
+    """The splitmix64 words at counters first .. first + count - 1, as uint64."""
+    z = np.arange(first, first + count, dtype=np.uint64)
+    z *= _GOLDEN_U64
+    z += np.uint64(key)
+    z ^= z >> _U30
+    z *= _MIX1_U64
+    z ^= z >> _U27
+    z *= _MIX2_U64
+    z ^= z >> _U31
+    return z
 
 
 def _fnv1a64(text: str) -> int:
@@ -48,10 +93,6 @@ class CounterRng:
         self._counter += 1
         return _finalize(self._key + self._counter * _GOLDEN)
 
-    def uniform_open(self) -> float:
-        """Uniform in (0, 1]; safe under log()."""
-        return ((self.u64() >> 11) + 1) * _TWO_POW_MINUS_53
-
     def uniform_halfopen(self) -> float:
         """Uniform in [0, 1)."""
         return (self.u64() >> 11) * _TWO_POW_MINUS_53
@@ -60,18 +101,30 @@ class CounterRng:
         return low + (high - low) * self.uniform_halfopen()
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] (modulo bias negligible for small ranges)."""
+        """Uniform integer in [low, high], by one word modulo the range size r.
+
+        Modulo bias: each value's probability is within a relative
+        r / 2**64 of 1/r, e.g. below 6e-18 for r = 100.
+        """
         if high < low:
             raise ValueError("empty range")
         return low + self.u64() % (high - low + 1)
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; consumes two counter values."""
-        u1 = self.uniform_open()
-        u2 = self.uniform_halfopen()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-
-    def normals(self, n: int):
-        import numpy as np
-
-        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+    def normals(self, n: int) -> np.ndarray:
+        """n standard normals by Box-Muller; consumes 2n counter values."""
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"normals: n must be >= 0, got {n}")
+        u = _words(self._key, self._counter + 1, 2 * n)
+        self._counter += 2 * n
+        u >>= _U11
+        # u < 2**53: the conversion, the + 1 and the 2**-53 scaling are exact,
+        # and the 2 pi product rounds once, as in the one-draw formula
+        f = u.astype(np.float64)
+        f[0::2] += 1.0
+        f *= _TWO_POW_MINUS_53
+        f[1::2] *= _TWO_PI
+        u1_and_angle = f.tolist()
+        logs = np.fromiter(map(math.log, u1_and_angle[0::2]), dtype=np.float64, count=n)
+        coss = np.fromiter(map(math.cos, u1_and_angle[1::2]), dtype=np.float64, count=n)
+        return np.sqrt(-2.0 * logs) * coss

@@ -45,6 +45,43 @@ class TestParams:
         with pytest.raises(ValueError):
             DyISRUParams(beta=np.array([0.5, np.nan]), channels=2)
 
+    def test_dyisru_scalar_equality_and_hash(self):
+        a = DyISRUParams(beta=4.0, channels=10, mu=0.5)
+        assert a == DyISRUParams(beta=4, channels=10, mu=0.5)
+        assert a == DyISRUParams(beta=np.float64(4.0), channels=10, mu=0.5)
+        assert hash(a) == hash(DyISRUParams(beta=4, channels=10, mu=0.5))
+        assert a != DyISRUParams(beta=4.0, channels=11, mu=0.5)
+        assert a != DyISRUParams(beta=4.0, channels=10)
+        assert a != DyISRUParams(beta=5.0, channels=10, mu=0.5)
+
+    def test_dyisru_array_equality_and_hash(self):
+        a = DyISRUParams(beta=np.array([0.5, 2.0, 3.0]), channels=3, mu=1.0)
+        b = DyISRUParams(beta=np.array([0.5, 2.0, 3.0]), channels=3, mu=1.0)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != DyISRUParams(beta=np.array([0.5, 2.0, 3.5]), channels=3, mu=1.0)
+        assert a != DyISRUParams(beta=np.array([0.5, 2.0]), channels=3, mu=1.0)
+        assert a != DyISRUParams(beta=np.array([[0.5, 2.0, 3.0]]), channels=3, mu=1.0)
+        assert a != DyISRUParams(beta=np.array([0.5, 2.0, 3.0]), channels=3)
+
+    def test_dyisru_scalar_never_equals_array(self):
+        scalar = DyISRUParams(beta=2.0, channels=2)
+        array = DyISRUParams(beta=np.array([2.0, 2.0]), channels=2)
+        assert scalar != array and array != scalar
+        assert DyISRUParams(beta=np.array(2.0), channels=2) == scalar
+
+    def test_dyisru_params_in_a_set(self):
+        params = {
+            DyISRUParams(beta=np.array([0.5, 2.0]), channels=2),
+            DyISRUParams(beta=np.array([0.5, 2.0]), channels=2),
+            DyISRUParams(beta=np.array([0.5, 3.0]), channels=2),
+            DyISRUParams(beta=0.5, channels=2),
+            DyISRUParams(beta=0.5, channels=2),
+        }
+        assert len(params) == 3
+        assert DyISRUParams(beta=np.array([0.5, 3.0]), channels=2) in params
+        assert DyISRUParams(beta=np.array([3.0, 0.5]), channels=2) not in params
+
 
 class TestScaledDyt:
     def test_zero_boundary(self):

@@ -63,6 +63,20 @@ class TestSimulate:
         names = {p.name for p in out.iterdir()}
         assert names == {"scenario.csv", "frame_s0.svg", "manifest.json"}
 
+    def test_frame_outside_s_max_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert run("simulate", "--seed", 0, "--frames", "0,50,-1", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "50,-1" in err and "[0, 9]" in err
+        assert not out.exists()
+
+    def test_manifest_lists_rendered_frames(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run("simulate", "--seed", 0, "--s-max", 1, "--out", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["frames"] == [0, 1]
+        assert run("simulate", "--seed", 0, "--s-max", 3, "--frames", "3,0", "--out", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["frames"] == [3, 0]
+
     def test_bad_channels(self, tmp_path):
         assert run("simulate", "--channels", 1, "--out", tmp_path / "x") == 2
 

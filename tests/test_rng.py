@@ -69,7 +69,8 @@ def _reference_normals(rng: CounterRng, n: int) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-@pytest.mark.parametrize("seed, stream", sorted(STREAM_DIGESTS, key=repr))
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("seed", SEEDS)
 def test_stream_is_frozen(seed, stream):
     assert _transcript(seed, stream) == STREAM_DIGESTS[(seed, stream)]
 
@@ -90,3 +91,12 @@ def test_normals_match_scalar_reference_bit_for_bit(seed, stream, skip, n):
     assert got.dtype == np.float64 and got.shape == (n,)
     assert got.tobytes() == want.tobytes()
     assert fast.u64() == ref.u64()
+
+
+@pytest.mark.parametrize("n", [-1, -4096])
+def test_negative_n_raises_and_leaves_the_counter(n):
+    rng, untouched = CounterRng(7, "sample_base"), CounterRng(7, "sample_base")
+    assert rng.u64() == untouched.u64()
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        rng.normals(n)
+    assert rng.u64() == untouched.u64()
