@@ -184,7 +184,8 @@ def cmd_simulate(args) -> int:
         frames = [s for s in DEFAULT_FRAMES if s <= config.s_max]
     else:
         try:
-            frames = [int(s) for s in args.frames.split(",") if s.strip() != ""]
+            # a repeated index draws its frame once
+            frames = list(dict.fromkeys(int(s) for s in args.frames.split(",") if s.strip() != ""))
         except ValueError:
             print(f"dynact simulate: bad --frames value {args.frames!r}", file=sys.stderr)
             return EXIT_USAGE

@@ -53,8 +53,7 @@ def _finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# uint64 operands, so the array arithmetic stays in uint64 (wrapping mod 2**64)
-# on every numpy version
+# uint64 operands keep the array arithmetic in uint64, wrapping mod 2**64
 _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
 

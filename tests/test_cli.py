@@ -74,8 +74,10 @@ class TestSimulate:
         out = tmp_path / "sim"
         assert run("simulate", "--seed", 0, "--s-max", 1, "--out", out) == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["frames"] == [0, 1]
-        assert run("simulate", "--seed", 0, "--s-max", 3, "--frames", "3,0", "--out", out) == 0
-        assert json.loads((out / "manifest.json").read_text())["config"]["frames"] == [3, 0]
+        assert run("simulate", "--seed", 0, "--s-max", 3, "--frames", "3,0,3", "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["frames"] == [3, 0]
+        assert manifest["artifacts"] == ["frame_s0.svg", "frame_s3.svg", "scenario.csv"]
 
     def test_bad_channels(self, tmp_path):
         assert run("simulate", "--channels", 1, "--out", tmp_path / "x") == 2
