@@ -174,3 +174,25 @@ class TestCsv:
         path.write_text("x,y\n1.0,2.0\noops,3.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="row 3"):
             read_points_csv(path)
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("0,1,2.0,0.7\n", "row 3: expected 5 columns, got 4"),
+            ("\n0,1,2.0,0.7,0\n", "row 3: expected 5 columns, got 0"),
+            ("0,1,abc,0.7,0\n", "row 3: could not convert string to float: 'abc'"),
+            ("0,1,2.0,,0\n", "row 3: could not convert string to float: ''"),
+            ("0,x,2.0,0.7,0\n", "row 3: invalid literal for int() with base 10: 'x'"),
+            ("0,1,2.0,0.7,1.0\n", "row 3: invalid literal for int() with base 10: '1.0'"),
+            # two bad rows: the first one is named, whichever kind of fault it has
+            ("0,1,2.0,0.7\n0,2,zz,0.7,0\n", "row 3: expected 5 columns, got 4"),
+            ("0,1,zz,0.7,0\n0,2,2.0,0.7\n", "row 3: could not convert string to float: 'zz'"),
+            ("0,1,2.0,0.7,0\n0,2,2.0,0.7,0\n0,3,zz,0.7\n", "row 5: expected 5 columns, got 4"),
+        ],
+    )
+    def test_malformed_scenario_names_first_bad_row(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("s,channel,x,y,is_outlier\n0,0,1.0,0.5,0\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_points_csv(path)
+        assert str(info.value) == message
