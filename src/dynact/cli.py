@@ -8,8 +8,6 @@ byte-identical CSV and JSON artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -113,11 +111,14 @@ def _frame_panel(scenario: OutlierScenario, s: int) -> Panel:
     mask[o] = False
     panel = Panel(title=f"S = {s}", xlabel="x", ylabel="y")
     panel.series.append(
-        Scatter(xs=tuple(frame.x[mask]), ys=tuple(frame.y[mask]), filled=False, color="#555555")
+        Scatter(
+            xs=tuple(frame.x[mask].tolist()), ys=tuple(frame.y[mask].tolist()),
+            filled=False, color="#555555",
+        )
     )
     if s >= 1:
         panel.series.append(
-            Scatter(xs=(float(frame.x[o]),), ys=(float(frame.y[o]),), filled=True, color="#d62728")
+            Scatter(xs=(frame.x.item(o),), ys=(frame.y.item(o),), filled=True, color="#d62728")
         )
     return panel
 
@@ -128,6 +129,7 @@ def _fit_figure(points: list[tuple[float, float]], results: list[FitResult], cha
     top = Panel(title="outlier data and fitted activations", xlabel="x", ylabel="y")
     top.series.append(Scatter(xs=tuple(xs), ys=tuple(ys), filled=True, color="#555555", label="outliers"))
     grid = np.linspace(min(xs + [0.0]), max(xs), CURVE_SEGMENTS + 1)
+    grid_xs = tuple(grid.tolist())
     bottom = Panel(title="residuals (positive outliers)", xlabel="x", ylabel="residual")
     bottom.hlines.append((0.0, True))
     for k, res in enumerate(results):
@@ -137,7 +139,7 @@ def _fit_figure(points: list[tuple[float, float]], results: list[FitResult], cha
         else:
             curve = dyisru(grid, DyISRUParams(beta=res.parameter, channels=channels))
         top.series.append(
-            Curve(xs=tuple(grid), ys=tuple(curve), color=color, label=res.function_kind)
+            Curve(xs=grid_xs, ys=tuple(curve.tolist()), color=color, label=res.function_kind)
         )
         pos = [(x, r) for x, r in zip(xs, res.residuals) if x > 0]
         bottom.series.append(
@@ -253,33 +255,31 @@ def cmd_fit(args) -> int:
 
 def _fig1_files(out_dir: Path) -> list[str]:
     grid = np.linspace(-FIG1_XMAX, FIG1_XMAX, CURVE_SEGMENTS + 1)
+    grid_xs = tuple(grid.tolist())
+    grid_text = list(map(repr, grid_xs))
     panel = Panel(title=f"DyT and DyISRU, C = {FIG1_CHANNELS}", xlabel="x", ylabel="y")
     bound = math.sqrt(FIG1_CHANNELS - 1)
     panel.hlines.extend([(bound, True), (-bound, True)])
-    rows = []
+    lines = ["function,parameter,x,y"]
     k = 0
     for alpha in FIG1_ALPHAS:
-        ys = scaled_dyt(grid, DyTParams(alpha=alpha, channels=FIG1_CHANNELS))
+        ys = tuple(scaled_dyt(grid, DyTParams(alpha=alpha, channels=FIG1_CHANNELS)).tolist())
         panel.series.append(
-            Curve(xs=tuple(grid), ys=tuple(ys), color=color_cycle(k), label=f"DyT alpha={alpha:g}")
+            Curve(xs=grid_xs, ys=ys, color=color_cycle(k), label=f"DyT alpha={alpha:g}")
         )
-        rows.extend(("dyt", repr(float(alpha)), repr(float(x)), repr(float(y))) for x, y in zip(grid, ys))
+        lines.extend(f"dyt,{alpha!r},{x},{y!r}" for x, y in zip(grid_text, ys))
         k += 1
     for beta in FIG1_BETAS:
-        ys = dyisru(grid, DyISRUParams(beta=beta, channels=FIG1_CHANNELS))
+        ys = tuple(dyisru(grid, DyISRUParams(beta=beta, channels=FIG1_CHANNELS)).tolist())
         panel.series.append(
             Curve(
-                xs=tuple(grid), ys=tuple(ys), color=color_cycle(k), dashed=True,
+                xs=grid_xs, ys=ys, color=color_cycle(k), dashed=True,
                 label=f"DyISRU beta={beta:g}",
             )
         )
-        rows.extend(("dyisru", repr(float(beta)), repr(float(x)), repr(float(y))) for x, y in zip(grid, ys))
+        lines.extend(f"dyisru,{beta!r},{x},{y!r}" for x, y in zip(grid_text, ys))
         k += 1
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["function", "parameter", "x", "y"])
-    writer.writerows(rows)
-    _write_text(out_dir / "fig1_curves.csv", buf.getvalue())
+    _write_text(out_dir / "fig1_curves.csv", "\n".join(lines) + "\n")
     _write_text(out_dir / "fig1.svg", render_figure([panel]))
     return ["fig1_curves.csv", "fig1.svg"]
 
@@ -307,13 +307,10 @@ def cmd_figures(args) -> int:
         name = f"fit_{res.function_kind}.json"
         _write_text(out_dir / name, json.dumps(res.to_dict(), indent=2) + "\n")
         artifacts.append(name)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "x", "y", "residual"])
+    lines = ["kind,x,y,residual"]
     for res in results:
-        for (x, y), r in zip(points, res.residuals):
-            writer.writerow([res.function_kind, repr(float(x)), repr(float(y)), repr(float(r))])
-    _write_text(out_dir / "fig3_residuals.csv", buf.getvalue())
+        lines.extend(f"{res.function_kind},{x!r},{y!r},{r!r}" for (x, y), r in zip(points, res.residuals))
+    _write_text(out_dir / "fig3_residuals.csv", "\n".join(lines) + "\n")
     artifacts.append("fig3_residuals.csv")
     _write_text(out_dir / "fig3.svg", _fit_figure(points, results, config.channels))
     artifacts.append("fig3.svg")

@@ -95,20 +95,45 @@ def outlier_points(scenario: OutlierScenario) -> list[tuple[float, float]]:
 
 
 def scenario_to_csv(scenario: OutlierScenario) -> str:
-    """Serialize as `s,channel,x,y,is_outlier` rows with round-trip float text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    """Serialize as `s,channel,x,y,is_outlier` rows with round-trip float text.
+
+    A frame's x text is the base sample's, formatted once, except on the
+    channels whose bits differ from the base sample (the stepped outlier).
+    """
+    base = scenario.base_sample
+    base_x = list(map(repr, base.tolist()))
     o = scenario.outlier_index
+    lines = [",".join(CSV_HEADER)]
     for frame in scenario.frames:
-        for k in range(frame.x.size):
-            flag = 1 if (k == o and frame.s >= 1) else 0
-            writer.writerow([frame.s, k, repr(float(frame.x[k])), repr(float(frame.y[k])), flag])
-    return buf.getvalue()
+        xs = base_x.copy()
+        # bits, not values, so that -0.0 against 0.0 is formatted again too
+        for k in np.flatnonzero(frame.x.view(np.int64) != base.view(np.int64)).tolist():
+            xs[k] = repr(frame.x.item(k))
+        ys = list(map(repr, frame.y.tolist()))
+        s = frame.s
+        rows = [f"{s},{k},{x},{y},0" for k, (x, y) in enumerate(zip(xs, ys))]
+        if s >= 1:
+            rows[o] = f"{s},{o},{xs[o]},{ys[o]},1"
+        lines += rows
+    return "\n".join(lines) + "\n"
 
 
 def write_scenario_csv(scenario: OutlierScenario, path: str | Path) -> None:
     Path(path).write_text(scenario_to_csv(scenario), encoding="utf-8")
+
+
+def _raise_first_bad_scenario_row(rows: list[list[str]]) -> None:
+    """Raise the error of the first data row with a bad width or value (row 2 is the first)."""
+    for n, row in enumerate(rows, start=2):
+        if len(row) != 5:
+            raise ValueError(f"row {n}: expected 5 columns, got {len(row)}")
+        try:
+            int(row[1])
+            float(row[2])
+            float(row[3])
+            int(row[4])
+        except ValueError as exc:
+            raise ValueError(f"row {n}: {exc}") from exc
 
 
 def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | None]:
@@ -119,31 +144,33 @@ def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | 
     where channels is inferred from a scenario CSV and None otherwise.
     Raises ValueError with the offending row number on malformed input.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops a byte-order mark, which would otherwise hide the header
+    text = Path(path).read_text(encoding="utf-8-sig")
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise ValueError("empty CSV")
     header = [h.strip().lower() for h in rows[0]]
-    points: list[tuple[float, float]] = []
     if header == CSV_HEADER:
-        channels = 0
-        for n, row in enumerate(rows[1:], start=2):
-            if len(row) != 5:
-                raise ValueError(f"row {n}: expected 5 columns, got {len(row)}")
-            try:
-                channel = int(row[1])
-                x, y = float(row[2]), float(row[3])
-                flag = int(row[4])
-            except ValueError as exc:
-                raise ValueError(f"row {n}: {exc}") from exc
-            channels = max(channels, channel + 1)
-            if flag:
-                points.append((x, y))
-        return points, channels
+        data = rows[1:]
+        try:
+            if not set(map(len, data)) <= {5}:
+                raise ValueError("bad row width")
+            columns = list(zip(*data)) or [()] * 5
+            channel = list(map(int, columns[1]))
+            xs = list(map(float, columns[2]))
+            ys = list(map(float, columns[3]))
+            flags = list(map(int, columns[4]))
+        except ValueError:
+            # a whole-column conversion cannot say which row failed
+            _raise_first_bad_scenario_row(data)
+            raise
+        channels = max(0, max(channel, default=-1) + 1)
+        return [(x, y) for x, y, f in zip(xs, ys, flags) if f], channels
     if header == ["x", "y"]:
         start, data_rows = 2, rows[1:]
     else:
         start, data_rows = 1, rows
+    points: list[tuple[float, float]] = []
     for n, row in enumerate(data_rows, start=start):
         if len(row) != 2:
             raise ValueError(f"row {n}: expected 2 columns, got {len(row)}")

@@ -6,6 +6,8 @@ import pytest
 from dynact.rng import CounterRng
 from dynact.simulation import (
     EmptyOutliers,
+    Frame,
+    OutlierScenario,
     SimulationConfig,
     outlier_points,
     read_points_csv,
@@ -162,12 +164,38 @@ class TestCsv:
         flagged = [(int(r[0]), int(r[1])) for r in rows if r[4] == "1"]
         assert flagged == [(s, o) for s in range(1, 10)]
 
+    def test_frames_off_the_base_sample_match_per_row_formatting(self):
+        # frames built by hand may differ from the base away from the outlier,
+        # including by the sign of a zero
+        base = np.array([1.0, 0.0, 3.5, -2.0])
+        xs = (base.copy(), np.array([1.0, -0.0, 8.5, -2.0]), np.array([0.5, 0.0, 13.5, np.nan]))
+        frames = tuple(Frame(s=s, x=x, y=x / 7.0) for s, x in enumerate(xs))
+        scenario = OutlierScenario(base_sample=base, outlier_index=2, frames=frames)
+        expected = ["s,channel,x,y,is_outlier"] + [
+            f"{f.s},{k},{float(f.x[k])!r},{float(f.y[k])!r},{int(k == 2 and f.s >= 1)}"
+            for f in frames
+            for k in range(f.x.size)
+        ]
+        assert scenario_to_csv(scenario) == "\n".join(expected) + "\n"
+
     def test_plain_xy_csv(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x,y\n1.5,0.25\n-2.0,-0.5\n", encoding="utf-8")
         points, channels = read_points_csv(path)
         assert points == [(1.5, 0.25), (-2.0, -0.5)]
         assert channels is None
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("s,channel,x,y,is_outlier\n0,0,1.0,0.5,0\n1,0,2.0,0.7,1\n", ([(2.0, 0.7)], 1)),
+            ("x,y\n1.5,0.25\n", ([(1.5, 0.25)], None)),
+        ],
+    )
+    def test_byte_order_mark_is_ignored(self, tmp_path, text, expected):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert read_points_csv(path) == expected
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
