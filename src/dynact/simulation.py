@@ -103,7 +103,7 @@ def scenario_to_csv(scenario: OutlierScenario) -> str:
     base = scenario.base_sample
     base_x = list(map(repr, base.tolist()))
     o = scenario.outlier_index
-    lines = [",".join(CSV_HEADER)]
+    blocks = [",".join(CSV_HEADER)]
     for frame in scenario.frames:
         xs = base_x.copy()
         # bits, not values, so that -0.0 against 0.0 is formatted again too
@@ -114,8 +114,10 @@ def scenario_to_csv(scenario: OutlierScenario) -> str:
         rows = [f"{s},{k},{x},{y},0" for k, (x, y) in enumerate(zip(xs, ys))]
         if s >= 1:
             rows[o] = f"{s},{o},{xs[o]},{ys[o]},1"
-        lines += rows
-    return "\n".join(lines) + "\n"
+        # one string per frame keeps the peak near the size of the output
+        blocks.append("\n".join(rows))
+    blocks.append("")
+    return "\n".join(blocks)
 
 
 def write_scenario_csv(scenario: OutlierScenario, path: str | Path) -> None:
