@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import deque
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -109,11 +112,11 @@ def scenario_to_csv(scenario: OutlierScenario) -> str:
         # bits, not values, so that -0.0 against 0.0 is formatted again too
         for k in np.flatnonzero(frame.x.view(np.int64) != base.view(np.int64)).tolist():
             xs[k] = repr(frame.x.item(k))
-        ys = list(map(repr, frame.y.tolist()))
+        y = frame.y.tolist()
         s = frame.s
-        rows = [f"{s},{k},{x},{y},0" for k, (x, y) in enumerate(zip(xs, ys))]
+        rows = [f"{s},{k},{xk},{yk!r},0" for k, (xk, yk) in enumerate(zip(xs, y))]
         if s >= 1:
-            rows[o] = f"{s},{o},{xs[o]},{ys[o]},1"
+            rows[o] = f"{s},{o},{xs[o]},{y[o]!r},1"
         # one string per frame keeps the peak near the size of the output
         blocks.append("\n".join(rows))
     blocks.append("")
@@ -157,17 +160,17 @@ def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | 
         try:
             if not set(map(len, data)) <= {5}:
                 raise ValueError("bad row width")
-            columns = list(zip(*data)) or [()] * 5
-            channel = list(map(int, columns[1]))
-            xs = list(map(float, columns[2]))
-            ys = list(map(float, columns[3]))
-            flags = list(map(int, columns[4]))
+            channels = max(0, max(map(int, map(itemgetter(1), data)), default=-1) + 1)
+            # every x and y is converted to check it; only flagged rows keep theirs
+            for k in (2, 3):
+                deque(map(float, map(itemgetter(k), data)), maxlen=0)
+            flags = map(int, map(itemgetter(4), data))
+            points = [(float(row[2]), float(row[3])) for row in compress(data, flags)]
         except ValueError:
             # a whole-column conversion cannot say which row failed
             _raise_first_bad_scenario_row(data)
             raise
-        channels = max(0, max(channel, default=-1) + 1)
-        return [(x, y) for x, y, f in zip(xs, ys, flags) if f], channels
+        return points, channels
     if header == ["x", "y"]:
         start, data_rows = 2, rows[1:]
     else:
