@@ -128,7 +128,7 @@ def write_scenario_csv(scenario: OutlierScenario, path: str | Path) -> None:
 
 
 def _raise_first_bad_scenario_row(rows: list[list[str]]) -> None:
-    """Raise the error of the first data row with a bad width or value (row 2 is the first)."""
+    """Raise the error of the first row with a bad width or value; rows count from 2, after the header."""
     for n, row in enumerate(rows, start=2):
         if len(row) != 5:
             raise ValueError(f"row {n}: expected 5 columns, got {len(row)}")
