@@ -2,12 +2,24 @@ import json
 
 
 from dynact.cli import main
-from dynact.fitting import fit_dyisru, mirror_augment
+from dynact.fitting import fit_dyisru, fit_dyt, mirror_augment
 from dynact.simulation import SimulationConfig, outlier_points, run_scenario
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def listing(out):
+    return sorted(p.name for p in out.iterdir())
+
+
+def assert_manifest_lists_directory(out, command):
+    """The manifest's artifacts plus manifest.json are exactly the files in out."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert sorted(manifest["artifacts"] + ["manifest.json"]) == listing(out)
+    return manifest
 
 
 class TestVerify:
@@ -51,11 +63,15 @@ class TestSimulate:
             "frame_s9.svg",
             "manifest.json",
         }
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "simulate"
+        manifest = assert_manifest_lists_directory(out, "simulate")
         assert manifest["seed"] == 0
-        for name in manifest["artifacts"]:
-            assert (out / name).exists()
+
+    def test_json_lists_directory(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert run("simulate", "--seed", 0, "--s-max", 2, "--out", out, "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"out": str(out), "artifacts": listing(out)}
+        assert_manifest_lists_directory(out, "simulate")
 
     def test_s_max_zero_keeps_baseline_only(self, tmp_path):
         out = tmp_path / "sim"
@@ -104,7 +120,20 @@ class TestFit:
         assert doc["sse"] == expected.sse
         assert doc["mae"] == expected.mae
         assert doc["n_points"] == 9
-        assert (out / "fit_dyisru.svg").exists()
+        manifest = assert_manifest_lists_directory(out, "fit")
+        assert manifest["artifacts"] == ["fit_dyisru.json", "fit_dyisru.svg"]
+
+    def test_json_prints_fit_result(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert run("simulate", "--seed", 0, "--out", sim) == 0
+        capsys.readouterr()
+        out = tmp_path / "fit"
+        assert run("fit", "--input", sim / "scenario.csv", "--kind", "dyt", "--out", out, "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        data = mirror_augment(outlier_points(run_scenario(SimulationConfig(seed=0))), channels=100)
+        assert doc == fit_dyt(data).to_dict()
+        assert doc == json.loads((out / "fit_dyt.json").read_text())
+        assert_manifest_lists_directory(out, "fit")
 
     def test_dyt_lands_in_experiment_band(self, tmp_path):
         sim = tmp_path / "sim"
@@ -130,14 +159,17 @@ class TestFit:
     def test_malformed_csv_mentions_row(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("x,y\n1.0,0.5\nnope,0.1\n")
-        assert run("fit", "--input", csv, "--kind", "dyt", "--channels", 100) == 2
+        out = tmp_path / "f"
+        assert run("fit", "--input", csv, "--kind", "dyt", "--channels", 100, "--out", out) == 2
         assert "row 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_data_exits_one(self, tmp_path):
         csv = tmp_path / "flat.csv"
         csv.write_text("x,y\n1.0,0.0\n")
-        assert run("fit", "--input", csv, "--kind", "dyt", "--channels", 100,
-                   "--out", tmp_path / "f") == 1
+        out = tmp_path / "f"
+        assert run("fit", "--input", csv, "--kind", "dyt", "--channels", 100, "--out", out) == 1
+        assert not out.exists()
 
 
 class TestFigures:
@@ -150,9 +182,13 @@ class TestFigures:
         assert {"fig1.svg", "fig3.svg", "frame_s0.svg", "frame_s9.svg"} <= svgs
         assert {"fig1_curves.csv", "scenario.csv", "fig3_residuals.csv"} <= names
         assert {"fit_dyt.json", "fit_dyisru.json", "manifest.json"} <= names
-        manifest = json.loads((out / "manifest.json").read_text())
-        listed = set(manifest["artifacts"]) | {"manifest.json"}
-        assert listed == names
+        assert_manifest_lists_directory(out, "figures")
+
+    def test_json_lists_directory(self, tmp_path, capsys):
+        out = tmp_path / "figs"
+        assert run("figures", "--seed", 0, "--out", out, "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"out": str(out), "artifacts": listing(out)}
 
     def test_fig1_extrema_lines(self, tmp_path):
         import math
