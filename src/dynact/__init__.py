@@ -9,10 +9,8 @@ parameters.
 from dynact.core_math import (
     DegenerateVariance,
     IndexOutOfRange,
-    NormStats,
     layer_norm,
     ln_derivative_analytic,
-    norm_stats,
 )
 from dynact.activations import (
     BETA_MIN,
@@ -53,7 +51,6 @@ __all__ = [
     "FitDataset",
     "FitResult",
     "IndexOutOfRange",
-    "NormStats",
     "OutlierScenario",
     "SimulationConfig",
     "VerificationReport",
@@ -65,7 +62,6 @@ __all__ = [
     "layer_norm",
     "ln_derivative_analytic",
     "mirror_augment",
-    "norm_stats",
     "outlier_points",
     "run_all_checks",
     "run_scenario",

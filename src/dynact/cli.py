@@ -8,6 +8,7 @@ byte-identical CSV and JSON artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from dynact.simulation import (
     outlier_points,
     read_points_csv,
     run_scenario,
-    write_scenario_csv,
+    scenario_to_csv,
 )
 from dynact.svgplot import Curve, Panel, Scatter, color_cycle, render_figure
 from dynact.verification import run_all_checks
@@ -59,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--out", default="verification_report.json")
     p_verify.add_argument("--json", action="store_true", help="print the report JSON to stdout")
+    p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="run the stepwise outlier simulation")
     p_sim.add_argument("--channels", type=int, default=100)
@@ -73,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--out", default="out")
     p_sim.add_argument("--json", action="store_true")
+    p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit DyT or DyISRU to (x, y) data")
     p_fit.add_argument("--input", required=True, help="scenario CSV or plain x,y CSV")
@@ -80,28 +83,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--channels", type=int, default=None)
     p_fit.add_argument("--out", default="out")
     p_fit.add_argument("--json", action="store_true")
+    p_fit.set_defaults(func=cmd_fit)
 
     p_figs = sub.add_parser("figures", help="regenerate all figures as SVG + CSV")
     p_figs.add_argument("--seed", type=int, default=0)
     p_figs.add_argument("--out", default="figures")
     p_figs.add_argument("--json", action="store_true")
+    p_figs.set_defaults(func=cmd_figures)
 
     return parser
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+class _Out:
+    """A command's --out directory: made at the first write, each file UTF-8 and listed in the manifest."""
 
+    def __init__(self, path: str):
+        self.dir = Path(path)
+        self.names: list[str] = []
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, artifacts: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "artifacts": sorted(artifacts),
-        "tool_version": dynact.__version__,
-    }
-    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    def write(self, name: str, text: str) -> None:
+        if not self.names:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        (self.dir / name).write_text(text, encoding="utf-8")
+        self.names.append(name)
+
+    def write_manifest(self, command: str, config: dict, seed: int) -> None:
+        manifest = {
+            "command": command,
+            "config": config,
+            "seed": seed,
+            "artifacts": sorted(self.names),
+            "tool_version": dynact.__version__,
+        }
+        self.write("manifest.json", json.dumps(manifest, indent=2) + "\n")
+
+    def print_summary(self, as_json: bool) -> int:
+        if as_json:
+            print(json.dumps({"out": str(self.dir), "artifacts": sorted(self.names)}))
+        else:
+            print(f"wrote {len(self.names)} files to {self.dir}")
+        return EXIT_OK
 
 
 def _frame_panel(scenario: OutlierScenario, s: int) -> Panel:
@@ -154,12 +175,30 @@ def _fit_figure(points: list[tuple[float, float]], results: list[FitResult], cha
     return render_figure([top, bottom])
 
 
+def _simulate_files(out: _Out, config: SimulationConfig, frames) -> OutlierScenario:
+    """The simulate step: scenario.csv and one frame_s<s>.svg per frame."""
+    scenario = run_scenario(config)
+    out.write("scenario.csv", scenario_to_csv(scenario))
+    for s in frames:
+        out.write(f"frame_s{s}.svg", render_figure([_frame_panel(scenario, s)]))
+    return scenario
+
+
+def _fit_files(out: _Out, points, channels: int, kinds: list[str]) -> list[FitResult]:
+    """The fit step: every fit of ``kinds`` first, then one fit_<kind>.json per result."""
+    data = mirror_augment(points, channels=channels)
+    results = [fit_dyt(data) if kind == "dyt" else fit_dyisru(data) for kind in kinds]
+    for res in results:
+        out.write(f"fit_{res.function_kind}.json", json.dumps(res.to_dict(), indent=2) + "\n")
+    return results
+
+
 def cmd_verify(args) -> int:
     if args.trials < 1:
         print("dynact verify: --trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     report = run_all_checks(args.seed, trials=args.trials)
-    _write_text(Path(args.out), report.to_json() + "\n")
+    Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
     if args.json:
         print(report.to_json())
     else:
@@ -199,30 +238,10 @@ def cmd_simulate(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-    scenario = run_scenario(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = ["scenario.csv"]
-    write_scenario_csv(scenario, out_dir / "scenario.csv")
-    for s in frames:
-        name = f"frame_s{s}.svg"
-        _write_text(out_dir / name, render_figure([_frame_panel(scenario, s)]))
-        artifacts.append(name)
-    config_dict = {
-        "channels": config.channels,
-        "sigma": config.sigma,
-        "mu": config.mu,
-        "step": config.step,
-        "s_max": config.s_max,
-        "seed": config.seed,
-        "frames": frames,
-    }
-    _write_manifest(out_dir, "simulate", config_dict, config.seed, artifacts)
-    if args.json:
-        print(json.dumps({"out": str(out_dir), "artifacts": sorted(artifacts + ["manifest.json"])}))
-    else:
-        print(f"wrote {len(artifacts) + 1} files to {out_dir}")
-    return EXIT_OK
+    out = _Out(args.out)
+    _simulate_files(out, config, frames)
+    out.write_manifest("simulate", {**dataclasses.asdict(config), "frames": frames}, config.seed)
+    return out.print_summary(args.json)
 
 
 def cmd_fit(args) -> int:
@@ -233,16 +252,10 @@ def cmd_fit(args) -> int:
     if channels is None:
         print("dynact fit: --channels is required for plain x,y input", file=sys.stderr)
         return EXIT_USAGE
-    data = mirror_augment(points, channels=channels)
-    result = fit_dyt(data) if args.kind == "dyt" else fit_dyisru(data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_name = f"fit_{args.kind}.json"
-    svg_name = f"fit_{args.kind}.svg"
-    _write_text(out_dir / json_name, json.dumps(result.to_dict(), indent=2) + "\n")
-    _write_text(out_dir / svg_name, _fit_figure(points, [result], channels))
-    config_dict = {"input": str(args.input), "kind": args.kind, "channels": channels}
-    _write_manifest(out_dir, "fit", config_dict, 0, [json_name, svg_name])
+    out = _Out(args.out)
+    [result] = _fit_files(out, points, channels, [args.kind])
+    out.write(f"fit_{args.kind}.svg", _fit_figure(points, [result], channels))
+    out.write_manifest("fit", {"input": str(args.input), "kind": args.kind, "channels": channels}, 0)
     if args.json:
         print(json.dumps(result.to_dict()))
     else:
@@ -253,7 +266,7 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _fig1_files(out_dir: Path) -> list[str]:
+def _fig1_files(out: _Out) -> None:
     grid = np.linspace(-FIG1_XMAX, FIG1_XMAX, CURVE_SEGMENTS + 1)
     grid_xs = tuple(grid.tolist())
     grid_text = list(map(repr, grid_xs))
@@ -279,59 +292,27 @@ def _fig1_files(out_dir: Path) -> list[str]:
         )
         lines.extend(f"dyisru,{beta!r},{x},{y!r}" for x, y in zip(grid_text, ys))
         k += 1
-    _write_text(out_dir / "fig1_curves.csv", "\n".join(lines) + "\n")
-    _write_text(out_dir / "fig1.svg", render_figure([panel]))
-    return ["fig1_curves.csv", "fig1.svg"]
+    out.write("fig1_curves.csv", "\n".join(lines) + "\n")
+    out.write("fig1.svg", render_figure([panel]))
 
 
 def cmd_figures(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: list[str] = []
-
-    artifacts += _fig1_files(out_dir)
-
+    out = _Out(args.out)
+    _fig1_files(out)
     config = SimulationConfig(seed=args.seed)
-    scenario = run_scenario(config)
-    write_scenario_csv(scenario, out_dir / "scenario.csv")
-    artifacts.append("scenario.csv")
-    for s in DEFAULT_FRAMES:
-        name = f"frame_s{s}.svg"
-        _write_text(out_dir / name, render_figure([_frame_panel(scenario, s)]))
-        artifacts.append(name)
-
+    scenario = _simulate_files(out, config, DEFAULT_FRAMES)
     points = outlier_points(scenario)
-    data = mirror_augment(points, channels=config.channels)
-    results = [fit_dyt(data), fit_dyisru(data)]
-    for res in results:
-        name = f"fit_{res.function_kind}.json"
-        _write_text(out_dir / name, json.dumps(res.to_dict(), indent=2) + "\n")
-        artifacts.append(name)
+    results = _fit_files(out, points, config.channels, ["dyt", "dyisru"])
     lines = ["kind,x,y,residual"]
     for res in results:
         lines.extend(f"{res.function_kind},{x!r},{y!r},{r!r}" for (x, y), r in zip(points, res.residuals))
-    _write_text(out_dir / "fig3_residuals.csv", "\n".join(lines) + "\n")
-    artifacts.append("fig3_residuals.csv")
-    _write_text(out_dir / "fig3.svg", _fit_figure(points, results, config.channels))
-    artifacts.append("fig3.svg")
-
-    _write_manifest(
-        out_dir,
-        "figures",
-        {
-            "seed": args.seed,
-            "fig1": {"channels": FIG1_CHANNELS, "alphas": list(FIG1_ALPHAS), "betas": list(FIG1_BETAS)},
-            "simulation": {"channels": config.channels, "sigma": config.sigma, "mu": config.mu,
-                           "step": config.step, "s_max": config.s_max},
-        },
-        args.seed,
-        artifacts,
-    )
-    if args.json:
-        print(json.dumps({"out": str(out_dir), "artifacts": sorted(artifacts + ["manifest.json"])}))
-    else:
-        print(f"wrote {len(artifacts) + 1} files to {out_dir}")
-    return EXIT_OK
+    out.write("fig3_residuals.csv", "\n".join(lines) + "\n")
+    out.write("fig3.svg", _fit_figure(points, results, config.channels))
+    simulation = dataclasses.asdict(config)
+    del simulation["seed"]  # the manifest keeps the seed at its top level
+    fig1 = {"channels": FIG1_CHANNELS, "alphas": list(FIG1_ALPHAS), "betas": list(FIG1_BETAS)}
+    out.write_manifest("figures", {"seed": args.seed, "fig1": fig1, "simulation": simulation}, args.seed)
+    return out.print_summary(args.json)
 
 
 def main(argv=None) -> int:
@@ -343,14 +324,8 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return EXIT_USAGE
         return EXIT_USAGE if exc.code else EXIT_OK
-    dispatch = {
-        "verify": cmd_verify,
-        "simulate": cmd_simulate,
-        "fit": cmd_fit,
-        "figures": cmd_figures,
-    }
     try:
-        return dispatch[args.command](args)
+        return args.func(args)
     except BracketFailure as exc:
         print(f"dynact {args.command}: fit failed: {exc}", file=sys.stderr)
         return EXIT_FAILED

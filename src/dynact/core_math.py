@@ -1,4 +1,4 @@
-"""Layer normalization, channel statistics, and the analytic LN derivative.
+"""Layer normalization and its analytic derivative.
 
 All operations act on a single channel vector (one token representation of
 length C >= 2) and use population statistics (divisor C). Everything is pure
@@ -6,8 +6,6 @@ and 64-bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +20,6 @@ class DegenerateVariance(ValueError):
 
 class IndexOutOfRange(IndexError):
     """Channel index falls outside [0, C)."""
-
-
-@dataclass(frozen=True)
-class NormStats:
-    """Mean and population variance (divisor C) of a channel vector."""
-
-    mean: float
-    variance: float
 
 
 def as_channel_vector(x) -> np.ndarray:
@@ -54,14 +44,6 @@ def _check_index(i, c: int):
     if np.any(bad):
         raise IndexOutOfRange(f"channel index {idx[bad].flat[0]} outside [0, {c})")
     return idx
-
-
-def norm_stats(x) -> NormStats:
-    """Mean and population variance of a channel vector."""
-    arr = as_channel_vector(x)
-    mean = float(arr.mean())
-    variance = float(np.mean((arr - mean) ** 2))
-    return NormStats(mean=mean, variance=variance)
 
 
 def _centered(arr: np.ndarray) -> tuple[np.ndarray, np.floating]:

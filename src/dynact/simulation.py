@@ -123,16 +123,13 @@ def scenario_to_csv(scenario: OutlierScenario) -> str:
     return "\n".join(blocks)
 
 
-def write_scenario_csv(scenario: OutlierScenario, path: str | Path) -> None:
-    Path(path).write_text(scenario_to_csv(scenario), encoding="utf-8")
-
-
 def _raise_first_bad_scenario_row(rows: list[list[str]]) -> None:
     """Raise the error of the first row with a bad width or value; rows count from 2, after the header."""
     for n, row in enumerate(rows, start=2):
         if len(row) != 5:
             raise ValueError(f"row {n}: expected 5 columns, got {len(row)}")
         try:
+            int(row[0])
             int(row[1])
             float(row[2])
             float(row[3])
@@ -160,6 +157,7 @@ def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | 
         try:
             if not set(map(len, data)) <= {5}:
                 raise ValueError("bad row width")
+            deque(map(int, map(itemgetter(0), data)), maxlen=0)
             channels = max(0, max(map(int, map(itemgetter(1), data)), default=-1) + 1)
             # every x and y is converted to check it; only flagged rows keep theirs
             for k in (2, 3):

@@ -10,7 +10,6 @@ from dynact.core_math import (
     IndexOutOfRange,
     layer_norm,
     ln_derivative_analytic,
-    norm_stats,
 )
 from dynact.verification import ln_derivative_fd
 
@@ -21,36 +20,6 @@ channel_vectors = st.lists(finite_values, min_size=2, max_size=64)
 def nondegenerate(values):
     arr = np.asarray(values, dtype=np.float64)
     return float(np.var(arr)) > 1e-8
-
-
-class TestNormStats:
-    def test_constant_vector(self):
-        stats = norm_stats([1.0, 1.0, 1.0])
-        assert stats.mean == 1.0
-        assert stats.variance == 0.0
-
-    def test_symmetric_pair(self):
-        stats = norm_stats([1.0, -1.0])
-        assert stats.mean == 0.0
-        assert stats.variance == 1.0
-
-    def test_hand_arithmetic(self):
-        # (3, 0, 0): mean 1, deviations (2, -1, -1), variance (4 + 1 + 1) / 3
-        stats = norm_stats([3.0, 0.0, 0.0])
-        assert stats.mean == pytest.approx(1.0, abs=1e-15)
-        assert stats.variance == pytest.approx(2.0, rel=1e-15)
-
-    def test_population_divisor(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        assert norm_stats(x).variance == pytest.approx(np.var(x), rel=1e-15)
-
-    def test_rejects_short_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            norm_stats([1.0])
-        with pytest.raises(ValueError):
-            norm_stats([1.0, float("nan")])
-        with pytest.raises(ValueError):
-            norm_stats([1.0, float("inf")])
 
 
 class TestLayerNorm:

@@ -211,6 +211,7 @@ class TestCsv:
             ("0,1,abc,0.7,0\n", "row 3: could not convert string to float: 'abc'"),
             ("0,1,2.0,,0\n", "row 3: could not convert string to float: ''"),
             ("0,x,2.0,0.7,0\n", "row 3: invalid literal for int() with base 10: 'x'"),
+            ("x,1,2.0,0.7,1\n", "row 3: invalid literal for int() with base 10: 'x'"),
             ("0,1,2.0,0.7,1.0\n", "row 3: invalid literal for int() with base 10: '1.0'"),
             # two bad rows: the first one is named, whichever kind of fault it has
             ("0,1,2.0,0.7\n0,2,zz,0.7,0\n", "row 3: expected 5 columns, got 4"),
