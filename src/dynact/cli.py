@@ -185,7 +185,7 @@ def _simulate_files(out: _Out, config: SimulationConfig, frames) -> OutlierScena
 
 
 def _fit_files(out: _Out, points, channels: int, kinds: list[str]) -> list[FitResult]:
-    """The fit step: every fit of ``kinds`` first, then one fit_<kind>.json per result."""
+    """The fit step: one fit_<kind>.json per result, written only after every fit has succeeded."""
     data = mirror_augment(points, channels=channels)
     results = [fit_dyt(data) if kind == "dyt" else fit_dyisru(data) for kind in kinds]
     for res in results:
