@@ -92,6 +92,20 @@ def _draw_vector(rng: CounterRng, c: int) -> np.ndarray:
             return x
 
 
+def _result(name, trials, abs_errs, rel_errs, tol, gate_abs=False) -> CheckResult:
+    """Reduce per-chunk maxima to the worst errors and the check's verdict.
+
+    The gated error (absolute or relative) must be within tol. A NaN worst
+    error fails the check (np.max keeps NaN where Python's max drops it), and
+    so does a check that compared no points.
+    """
+    max_abs = float(np.max(abs_errs, initial=0.0))
+    max_rel = float(np.max(rel_errs, initial=0.0))
+    has_nan = math.isnan(max_abs) or math.isnan(max_rel)
+    passed = trials > 0 and not has_nan and (max_abs if gate_abs else max_rel) <= tol
+    return CheckResult(name, trials, max_abs, max_rel, tol, passed)
+
+
 def check_theorem1(
     seed: int,
     trials: int = 100,
@@ -105,32 +119,19 @@ def check_theorem1(
     if any(c < 2 for c in c_list):
         raise ValueError("every channel count must be >= 2")
     rng = CounterRng(seed, "ln_derivative_vs_fd")
-    max_abs = 0.0
-    max_rel = 0.0
-    ok = True
+    abs_errs, rel_errs = [], []
     for c in c_list:
         for _ in range(trials):
             x = _draw_vector(rng, c)
             fd = ln_derivative_fd(x)
             analytic = ln_derivative_analytic(x, np.arange(c))
             abs_err = np.abs(analytic - fd)
-            max_abs = max(max_abs, float(abs_err.max()))
+            abs_errs.append(abs_err.max(initial=0.0))
             # per channel: the absolute tolerance covers near-zero derivatives,
             # everything else must meet the relative tolerance
             need_rel = abs_err > abs_tol
-            if np.any(need_rel):
-                rel_err = abs_err[need_rel] / np.abs(fd[need_rel])
-                max_rel = max(max_rel, float(rel_err.max()))
-                if rel_err.max() > rel_tol:
-                    ok = False
-    return CheckResult(
-        name="ln_derivative_vs_fd",
-        trials=trials * len(c_list),
-        max_abs_error=float(max_abs),
-        max_rel_error=float(max_rel),
-        tolerance=rel_tol,
-        passed=bool(ok),
-    )
+            rel_errs.append((abs_err[need_rel] / np.abs(fd[need_rel])).max(initial=0.0))
+    return _result("ln_derivative_vs_fd", trials * len(c_list), abs_errs, rel_errs, rel_tol)
 
 
 def check_theorem2(
@@ -147,8 +148,7 @@ def check_theorem2(
     if grid is None:
         grid = np.linspace(-100.0, 100.0, 2001)
     grid = np.asarray(grid, dtype=np.float64)
-    max_abs = 0.0
-    max_rel = 0.0
+    abs_errs, rel_errs = [], []
     for alpha in alpha_list:
         if not alpha > 0:
             raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -160,18 +160,11 @@ def check_theorem2(
             analytic = alpha * root * (1.0 - np.tanh(alpha * grid) ** 2)
             fd = (scaled_dyt(grid + FD_STEP, p) - scaled_dyt(grid - FD_STEP, p)) / (2 * FD_STEP)
             abs_err = np.maximum(np.abs(analytic - rhs), np.abs(fd - rhs))
-            max_abs = max(max_abs, float(abs_err.max()))
+            abs_errs.append(abs_err.max(initial=0.0))
             big = np.abs(rhs) > abs_tol
-            if np.any(big):
-                max_rel = max(max_rel, float((abs_err[big] / np.abs(rhs[big])).max()))
-    return CheckResult(
-        name="scaled_dyt_ode_identity",
-        trials=len(alpha_list) * len(c_list) * grid.size,
-        max_abs_error=float(max_abs),
-        max_rel_error=float(max_rel),
-        tolerance=abs_tol,
-        passed=bool(max_abs <= abs_tol),
-    )
+            rel_errs.append((abs_err[big] / np.abs(rhs[big])).max(initial=0.0))
+    trials = len(alpha_list) * len(c_list) * grid.size
+    return _result("scaled_dyt_ode_identity", trials, abs_errs, rel_errs, abs_tol, gate_abs=True)
 
 
 def check_theorem3(
@@ -190,8 +183,7 @@ def check_theorem3(
     if grid is None:
         grid = np.linspace(-100.0, 100.0, 2001)
     grid = np.asarray(grid, dtype=np.float64)
-    max_abs = 0.0
-    max_rel = 0.0
+    abs_errs, rel_errs = [], []
     n_points = 0
     for beta in beta_list:
         for c in c_list:
@@ -205,17 +197,9 @@ def check_theorem3(
                 lhs = (root * beta / (beta + u * u) ** 1.5) * ((c - 1) / c)
                 rhs = (1.0 / c) * (y / u) * (c - 1 - y * y)
                 abs_err = np.abs(lhs - rhs)
-                rel_err = abs_err / np.maximum(np.abs(rhs), _TINY)
-                max_abs = max(max_abs, float(abs_err.max()))
-                max_rel = max(max_rel, float(rel_err.max()))
-    return CheckResult(
-        name="dyisru_general_ode_identity",
-        trials=n_points,
-        max_abs_error=float(max_abs),
-        max_rel_error=float(max_rel),
-        tolerance=rel_tol,
-        passed=bool(max_rel <= rel_tol),
-    )
+                abs_errs.append(abs_err.max(initial=0.0))
+                rel_errs.append((abs_err / np.maximum(np.abs(rhs), _TINY)).max(initial=0.0))
+    return _result("dyisru_general_ode_identity", n_points, abs_errs, rel_errs, rel_tol)
 
 
 def check_theorem4(
@@ -228,8 +212,7 @@ def check_theorem4(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = CounterRng(seed, "channel_exact_beta_vs_ln")
-    max_abs = 0.0
-    max_rel = 0.0
+    abs_errs, rel_errs = [], []
     for _ in range(trials):
         c = rng.randint(2, c_max)
         x = _draw_vector(rng, c)
@@ -238,16 +221,9 @@ def check_theorem4(
         beta = np.maximum(beta_exact(x, np.arange(c)), BETA_MIN)
         d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=mu))
         abs_err = np.abs(d - y)
-        max_abs = max(max_abs, float(abs_err.max()))
-        max_rel = max(max_rel, float((abs_err / np.maximum(np.abs(y), _TINY)).max()))
-    return CheckResult(
-        name="channel_exact_beta_vs_ln",
-        trials=trials,
-        max_abs_error=float(max_abs),
-        max_rel_error=float(max_rel),
-        tolerance=rel_tol,
-        passed=bool(max_rel <= rel_tol),
-    )
+        abs_errs.append(abs_err.max(initial=0.0))
+        rel_errs.append((abs_err / np.maximum(np.abs(y), _TINY)).max(initial=0.0))
+    return _result("channel_exact_beta_vs_ln", trials, abs_errs, rel_errs, rel_tol)
 
 
 def check_isru_equivalence(
@@ -259,8 +235,7 @@ def check_isru_equivalence(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = CounterRng(seed, "dyisru_isru_equivalence")
-    max_abs = 0.0
-    max_rel = 0.0
+    abs_errs, rel_errs = [], []
     for _ in range(trials):
         c = rng.randint(2, 100)
         x = rng.uniform(-50.0, 50.0)
@@ -268,16 +243,9 @@ def check_isru_equivalence(
         lhs = math.sqrt(beta) * float(dyisru(x, DyISRUParams(beta=beta, channels=c)))
         rhs = math.sqrt(c - 1) * float(isru(x, 1.0 / beta))
         abs_err = abs(lhs - rhs)
-        max_abs = max(max_abs, abs_err)
-        max_rel = max(max_rel, abs_err / max(abs(rhs), _TINY) if rhs != 0.0 else abs_err)
-    return CheckResult(
-        name="dyisru_isru_equivalence",
-        trials=trials,
-        max_abs_error=float(max_abs),
-        max_rel_error=float(max_rel),
-        tolerance=rel_tol,
-        passed=bool(max_rel <= rel_tol),
-    )
+        abs_errs.append(abs_err)
+        rel_errs.append(abs_err / max(abs(rhs), _TINY) if rhs != 0.0 else abs_err)
+    return _result("dyisru_isru_equivalence", trials, abs_errs, rel_errs, rel_tol)
 
 
 def run_all_checks(seed: int, trials: int = 100) -> VerificationReport:
@@ -286,6 +254,6 @@ def run_all_checks(seed: int, trials: int = 100) -> VerificationReport:
     report.checks.append(check_theorem1(seed, trials=trials))
     report.checks.append(check_theorem2())
     report.checks.append(check_theorem3())
-    report.checks.append(check_theorem4(seed, trials=max(trials, 1) * 5))
-    report.checks.append(check_isru_equivalence(seed, trials=max(trials, 1) * 5))
+    report.checks.append(check_theorem4(seed, trials=trials * 5))
+    report.checks.append(check_isru_equivalence(seed, trials=trials * 5))
     return report

@@ -1,5 +1,8 @@
 import json
-
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from dynact.cli import main
 from dynact.fitting import fit_dyisru, fit_dyt, mirror_augment
@@ -48,6 +51,18 @@ class TestVerify:
 
     def test_no_command(self):
         assert run() == 2
+
+    def test_python_dash_m(self, tmp_path):
+        out = tmp_path / "r.json"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynact.cli", "verify", "--trials", "1", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
 
 
 class TestSimulate:

@@ -77,6 +77,28 @@ class TestIndividualChecks:
         assert result.max_rel_error <= 1e-12
 
 
+    @pytest.mark.parametrize(
+        "check, gated",
+        [
+            (lambda: check_theorem2(grid=np.array([1.0, np.nan])), "max_abs_error"),
+            (lambda: check_theorem3(grid=np.array([1.0, np.inf])), "max_rel_error"),
+        ],
+        ids=["theorem2_nan", "theorem3_inf"],
+    )
+    def test_nan_error_fails_check(self, check, gated):
+        # the NaN must not be dropped by the reduction, nor hide the finite
+        # errors beside it
+        with np.errstate(invalid="ignore"):
+            result = check()
+        assert result.passed is False
+        assert np.isnan(getattr(result, gated))
+
+    def test_empty_grid_fails_check(self):
+        result = check_theorem2(grid=np.array([]))
+        assert result.trials == 0
+        assert result.passed is False
+
+
 class TestReport:
     def test_five_checks_and_verdict(self):
         report = run_all_checks(seed=1, trials=20)
