@@ -144,6 +144,13 @@ def _frame_panel(scenario: OutlierScenario, s: int) -> Panel:
     return panel
 
 
+def _curve(kind: str, param: float, channels: int, grid: np.ndarray) -> list[float]:
+    """Family `kind` at its parameter (alpha for dyt, beta for dyisru) on the grid."""
+    if kind == "dyt":
+        return scaled_dyt(grid, DyTParams(alpha=param, channels=channels)).tolist()
+    return dyisru(grid, DyISRUParams(beta=param, channels=channels)).tolist()
+
+
 def _fit_figure(points: list[tuple[float, float]], results: list[FitResult], channels: int) -> str:
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -155,13 +162,8 @@ def _fit_figure(points: list[tuple[float, float]], results: list[FitResult], cha
     bottom.hlines.append((0.0, True))
     for k, res in enumerate(results):
         color = color_cycle(k + 1)
-        if res.function_kind == "dyt":
-            curve = scaled_dyt(grid, DyTParams(alpha=res.parameter, channels=channels))
-        else:
-            curve = dyisru(grid, DyISRUParams(beta=res.parameter, channels=channels))
-        top.series.append(
-            Curve(xs=grid_xs, ys=tuple(curve.tolist()), color=color, label=res.function_kind)
-        )
+        curve = _curve(res.function_kind, res.parameter, channels, grid)
+        top.series.append(Curve(xs=grid_xs, ys=tuple(curve), color=color, label=res.function_kind))
         pos = [(x, r) for x, r in zip(xs, res.residuals) if x > 0]
         bottom.series.append(
             Scatter(
@@ -274,24 +276,14 @@ def _fig1_files(out: _Out) -> None:
     bound = math.sqrt(FIG1_CHANNELS - 1)
     panel.hlines.extend([(bound, True), (-bound, True)])
     lines = ["function,parameter,x,y"]
-    k = 0
-    for alpha in FIG1_ALPHAS:
-        ys = tuple(scaled_dyt(grid, DyTParams(alpha=alpha, channels=FIG1_CHANNELS)).tolist())
+    curves = [("dyt", a, f"DyT alpha={a:g}") for a in FIG1_ALPHAS]
+    curves += [("dyisru", b, f"DyISRU beta={b:g}") for b in FIG1_BETAS]
+    for k, (kind, param, label) in enumerate(curves):
+        ys = tuple(_curve(kind, param, FIG1_CHANNELS, grid))
         panel.series.append(
-            Curve(xs=grid_xs, ys=ys, color=color_cycle(k), label=f"DyT alpha={alpha:g}")
+            Curve(xs=grid_xs, ys=ys, color=color_cycle(k), dashed=kind == "dyisru", label=label)
         )
-        lines.extend(f"dyt,{alpha!r},{x},{y!r}" for x, y in zip(grid_text, ys))
-        k += 1
-    for beta in FIG1_BETAS:
-        ys = tuple(dyisru(grid, DyISRUParams(beta=beta, channels=FIG1_CHANNELS)).tolist())
-        panel.series.append(
-            Curve(
-                xs=grid_xs, ys=ys, color=color_cycle(k), dashed=True,
-                label=f"DyISRU beta={beta:g}",
-            )
-        )
-        lines.extend(f"dyisru,{beta!r},{x},{y!r}" for x, y in zip(grid_text, ys))
-        k += 1
+        lines.extend(f"{kind},{param!r},{x},{y!r}" for x, y in zip(grid_text, ys))
     out.write("fig1_curves.csv", "\n".join(lines) + "\n")
     out.write("fig1.svg", render_figure([panel]))
 

@@ -123,17 +123,14 @@ def scenario_to_csv(scenario: OutlierScenario) -> str:
     return "\n".join(blocks)
 
 
-def _raise_first_bad_scenario_row(rows: list[list[str]]) -> None:
-    """Raise the error of the first row with a bad width or value; rows count from 2, after the header."""
-    for n, row in enumerate(rows, start=2):
-        if len(row) != 5:
-            raise ValueError(f"row {n}: expected 5 columns, got {len(row)}")
+def _raise_first_bad_row(rows: list[list[str]], first: int, types: tuple) -> None:
+    """Raise the error of the first row, counted from `first`, whose width or values misfit `types`."""
+    for n, row in enumerate(rows, start=first):
+        if len(row) != len(types):
+            raise ValueError(f"row {n}: expected {len(types)} columns, got {len(row)}")
         try:
-            int(row[0])
-            int(row[1])
-            float(row[2])
-            float(row[3])
-            int(row[4])
+            for convert, text in zip(types, row):
+                convert(text)
         except ValueError as exc:
             raise ValueError(f"row {n}: {exc}") from exc
 
@@ -166,19 +163,14 @@ def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | 
             points = [(float(row[2]), float(row[3])) for row in compress(data, flags)]
         except ValueError:
             # a whole-column conversion cannot say which row failed
-            _raise_first_bad_scenario_row(data)
+            _raise_first_bad_row(data, 2, (int, int, float, float, int))
             raise
         return points, channels
-    if header == ["x", "y"]:
-        start, data_rows = 2, rows[1:]
-    else:
-        start, data_rows = 1, rows
-    points: list[tuple[float, float]] = []
-    for n, row in enumerate(data_rows, start=start):
-        if len(row) != 2:
-            raise ValueError(f"row {n}: expected 2 columns, got {len(row)}")
-        try:
-            points.append((float(row[0]), float(row[1])))
-        except ValueError as exc:
-            raise ValueError(f"row {n}: {exc}") from exc
+    first, data = (2, rows[1:]) if header == ["x", "y"] else (1, rows)
+    try:
+        # a row of the wrong width fails to unpack
+        points = [(float(x), float(y)) for x, y in data]
+    except ValueError:
+        _raise_first_bad_row(data, first, (float, float))
+        raise
     return points, None

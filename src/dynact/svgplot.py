@@ -23,7 +23,6 @@ class Scatter:
     ys: tuple
     filled: bool = True
     color: str = "#1f77b4"
-    radius: float = 4.0
     label: str = ""
 
 
@@ -38,9 +37,9 @@ class Curve:
 
 @dataclass
 class Panel:
-    title: str = ""
-    xlabel: str = ""
-    ylabel: str = ""
+    title: str
+    xlabel: str
+    ylabel: str
     series: list = field(default_factory=list)
     hlines: list = field(default_factory=list)  # (y, dashed) pairs
 
@@ -49,9 +48,9 @@ def _data_bounds(panel: Panel) -> tuple[float, float, float, float]:
     xs: list[float] = []
     ys: list[float] = []
     for s in panel.series:
-        xs.extend(float(v) for v in s.xs)
-        ys.extend(float(v) for v in s.ys)
-    ys.extend(float(y) for y, _ in panel.hlines)
+        xs.extend(s.xs)
+        ys.extend(s.ys)
+    ys.extend(y for y, _ in panel.hlines)
     if not xs or not ys:
         return 0.0, 1.0, 0.0, 1.0
     x0, x1 = min(xs), max(xs)
@@ -64,9 +63,9 @@ def _data_bounds(panel: Panel) -> tuple[float, float, float, float]:
     return x0 - px, x1 + px, y0 - py, y1 + py
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    raw = span / n
+    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * mag:
@@ -85,11 +84,18 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _render_panel(panel: Panel, x_off: float, y_off: float, width: float, height: float) -> list[str]:
+def _text(x: float, y: float, body: str, size: int, anchor: str = "middle", extra: str = "") -> str:
+    return (
+        f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" font-size="{size}" '
+        f'font-family="sans-serif"{extra}>{body}</text>'
+    )
+
+
+def _render_panel(panel: Panel, y_off: float, height: float) -> list[str]:
     x0, x1, y0, y1 = _data_bounds(panel)
-    inner_w = width - MARGIN["left"] - MARGIN["right"]
+    inner_w = WIDTH - MARGIN["left"] - MARGIN["right"]
     inner_h = height - MARGIN["top"] - MARGIN["bottom"]
-    ox = x_off + MARGIN["left"]
+    ox = MARGIN["left"]
     oy = y_off + MARGIN["top"]
 
     def sx(x: float) -> float:
@@ -98,44 +104,25 @@ def _render_panel(panel: Panel, x_off: float, y_off: float, width: float, height
     def sy(y: float) -> float:
         return oy + inner_h - (y - y0) / (y1 - y0) * inner_h
 
-    parts = []
-    parts.append(
+    parts = [
         f'<rect x="{ox:.2f}" y="{oy:.2f}" width="{inner_w:.2f}" height="{inner_h:.2f}" '
-        'fill="none" stroke="#333" stroke-width="1"/>'
-    )
-    if panel.title:
-        parts.append(
-            f'<text x="{ox + inner_w / 2:.2f}" y="{y_off + 24:.2f}" text-anchor="middle" '
-            f'font-size="15" font-family="sans-serif">{panel.title}</text>'
-        )
+        'fill="none" stroke="#333" stroke-width="1"/>',
+        _text(ox + inner_w / 2, y_off + 24, panel.title, 15),
+    ]
     for t in _ticks(x0, x1):
         parts.append(
             f'<line x1="{sx(t):.2f}" y1="{oy + inner_h:.2f}" x2="{sx(t):.2f}" '
             f'y2="{oy + inner_h + 5:.2f}" stroke="#333"/>'
         )
-        parts.append(
-            f'<text x="{sx(t):.2f}" y="{oy + inner_h + 18:.2f}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{_fmt(t)}</text>'
-        )
+        parts.append(_text(sx(t), oy + inner_h + 18, _fmt(t), 11))
     for t in _ticks(y0, y1):
         parts.append(
             f'<line x1="{ox - 5:.2f}" y1="{sy(t):.2f}" x2="{ox:.2f}" y2="{sy(t):.2f}" stroke="#333"/>'
         )
-        parts.append(
-            f'<text x="{ox - 8:.2f}" y="{sy(t) + 4:.2f}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif">{_fmt(t)}</text>'
-        )
-    if panel.xlabel:
-        parts.append(
-            f'<text x="{ox + inner_w / 2:.2f}" y="{oy + inner_h + 38:.2f}" text-anchor="middle" '
-            f'font-size="13" font-family="sans-serif">{panel.xlabel}</text>'
-        )
-    if panel.ylabel:
-        cx, cy = x_off + 18, oy + inner_h / 2
-        parts.append(
-            f'<text x="{cx:.2f}" y="{cy:.2f}" text-anchor="middle" font-size="13" '
-            f'font-family="sans-serif" transform="rotate(-90 {cx:.2f} {cy:.2f})">{panel.ylabel}</text>'
-        )
+        parts.append(_text(ox - 8, sy(t) + 4, _fmt(t), 11, anchor="end"))
+    parts.append(_text(ox + inner_w / 2, oy + inner_h + 38, panel.xlabel, 13))
+    cx, cy = 18, oy + inner_h / 2
+    parts.append(_text(cx, cy, panel.ylabel, 13, extra=f' transform="rotate(-90 {cx:.2f} {cy:.2f})"'))
     for y, dashed in panel.hlines:
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         parts.append(
@@ -154,28 +141,27 @@ def _render_panel(panel: Panel, x_off: float, y_off: float, width: float, height
             fill = s.color if s.filled else "none"
             for x, y in zip(s.xs, s.ys):
                 parts.append(
-                    f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{s.radius}" '
+                    f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="4.0" '
                     f'fill="{fill}" stroke="{s.color}" stroke-width="1"/>'
                 )
         if s.label:
             parts.append(
-                f'<text x="{ox + inner_w - 8:.2f}" y="{legend_y:.2f}" text-anchor="end" '
-                f'font-size="12" font-family="sans-serif" fill="{s.color}">{s.label}</text>'
+                _text(ox + inner_w - 8, legend_y, s.label, 12, anchor="end", extra=f' fill="{s.color}"')
             )
             legend_y += 15
     return parts
 
 
-def render_figure(panels: list[Panel], width: int = WIDTH, height: int = HEIGHT) -> str:
+def render_figure(panels: list[Panel]) -> str:
     """Render panels stacked vertically into one SVG document."""
-    panel_h = height / len(panels)
+    panel_h = HEIGHT / len(panels)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     for k, panel in enumerate(panels):
-        parts.extend(_render_panel(panel, 0.0, k * panel_h, width, panel_h))
+        parts.extend(_render_panel(panel, k * panel_h, panel_h))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -32,6 +32,7 @@ FD_STEP = 1e-5
 # Variance floor for random draws; anything below is redrawn.
 _REDRAW_VAR = 1e-12
 
+# Floor for the reference a relative error divides by, so an exact zero gives a finite error.
 _TINY = 1e-300
 
 
@@ -130,7 +131,8 @@ def check_theorem1(
             # per channel: the absolute tolerance covers near-zero derivatives,
             # everything else must meet the relative tolerance
             need_rel = abs_err > abs_tol
-            rel_errs.append((abs_err[need_rel] / np.abs(fd[need_rel])).max(initial=0.0))
+            ref = np.maximum(np.abs(fd[need_rel]), _TINY)
+            rel_errs.append((abs_err[need_rel] / ref).max(initial=0.0))
     return _result("ln_derivative_vs_fd", trials * len(c_list), abs_errs, rel_errs, rel_tol)
 
 
@@ -244,7 +246,7 @@ def check_isru_equivalence(
         rhs = math.sqrt(c - 1) * float(isru(x, 1.0 / beta))
         abs_err = abs(lhs - rhs)
         abs_errs.append(abs_err)
-        rel_errs.append(abs_err / max(abs(rhs), _TINY) if rhs != 0.0 else abs_err)
+        rel_errs.append(abs_err / max(abs(rhs), _TINY))
     return _result("dyisru_isru_equivalence", trials, abs_errs, rel_errs, rel_tol)
 
 

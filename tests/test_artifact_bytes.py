@@ -57,6 +57,19 @@ SIMULATE_C1024_SEED3_DIGESTS = {
     "scenario.csv": "359374fb7e02c8535a15ab364571e482ea4639a5eb271a0ebacccf4de30062e8",
 }
 
+# `fit --input <simulate --seed 0>/scenario.csv`; the manifest is left out
+# because it holds the input path
+FIT_SEED0_DIGESTS = {
+    "dyt": {
+        "fit_dyt.json": "2df1ba27d0e3bf4e4d70b72a2f70292ba595e0bad142ad1d40d16dfd9c22e565",
+        "fit_dyt.svg": "f79711d6c2099fbd0ec2736df9f1fccd5bb411474e9a27028264d171ba807851",
+    },
+    "dyisru": {
+        "fit_dyisru.json": "01e4a07713b9dad86271617b094e90d7b75f4b37a0a395ca1fc653b81f013b81",
+        "fit_dyisru.svg": "a62180684827308e12509d574603ef721bacd6dbecbca3151df9ab99190255f7",
+    },
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -82,3 +95,13 @@ def test_simulate_bytes_match_golden(tmp_path):
     argv = ["simulate", "--channels", "1024", "--s-max", "16", "--seed", "3", "--out", str(out)]
     assert main(argv) == 0
     assert _tree_digests(out) == SIMULATE_C1024_SEED3_DIGESTS
+
+
+@pytest.mark.parametrize("kind", sorted(FIT_SEED0_DIGESTS))
+def test_fit_bytes_match_golden(tmp_path, kind):
+    sim, out = tmp_path / "sim", tmp_path / "fit"
+    assert main(["simulate", "--seed", "0", "--out", str(sim)]) == 0
+    assert main(["fit", "--input", str(sim / "scenario.csv"), "--kind", kind, "--out", str(out)]) == 0
+    digests = _tree_digests(out)
+    del digests["manifest.json"]
+    assert digests == FIT_SEED0_DIGESTS[kind]

@@ -101,6 +101,12 @@ class TestSimulate:
         assert "50,-1" in err and "[0, 9]" in err
         assert not out.exists()
 
+    def test_non_integer_frame_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert run("simulate", "--frames", "1,x", "--out", out) == 2
+        assert "bad --frames value '1,x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_lists_rendered_frames(self, tmp_path):
         out = tmp_path / "sim"
         assert run("simulate", "--seed", 0, "--s-max", 1, "--out", out) == 0
@@ -170,6 +176,14 @@ class TestFit:
         csv = tmp_path / "e.csv"
         csv.write_text("x,y\n")
         assert run("fit", "--input", csv, "--kind", "dyt", "--channels", 100) == 2
+
+    def test_zero_byte_csv(self, tmp_path, capsys):
+        csv = tmp_path / "e.csv"
+        csv.write_bytes(b"")
+        out = tmp_path / "f"
+        assert run("fit", "--input", csv, "--kind", "dyt", "--channels", 100, "--out", out) == 2
+        assert "empty CSV" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_csv_mentions_row(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"

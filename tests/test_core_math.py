@@ -33,6 +33,20 @@ class TestLayerNorm:
         with pytest.raises(DegenerateVariance):
             layer_norm([1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "x,message",
+        [
+            ([[1.0, 2.0], [3.0, 4.0]], "expected a 1-D channel vector, got shape"),
+            ([1.0], "at least 2 entries"),
+            ([1.0, math.nan], "must be finite"),
+            ([1.0, math.inf], "must be finite"),
+        ],
+        ids=["2d", "single", "nan", "inf"],
+    )
+    def test_bad_input_refused(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            layer_norm(x)
+
     @given(channel_vectors)
     def test_output_stats(self, values):
         assume(nondegenerate(values))

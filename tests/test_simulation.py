@@ -185,6 +185,28 @@ class TestCsv:
         assert points == [(1.5, 0.25), (-2.0, -0.5)]
         assert channels is None
 
+    def test_plain_xy_csv_without_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.5,0.25\n-2.0,-0.5\n", encoding="utf-8")
+        assert read_points_csv(path) == ([(1.5, 0.25), (-2.0, -0.5)], None)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("oops,0.25\n", "row 1: could not convert string to float: 'oops'"),
+            ("1.5\n", "row 1: expected 2 columns, got 1"),
+            ("1.5,0.25,7\n", "row 1: expected 2 columns, got 3"),
+            ("1.5,0.25\n\n", "row 2: expected 2 columns, got 0"),
+            ("x,y\n1.5,0.25\n2.0\n", "row 3: expected 2 columns, got 1"),
+        ],
+    )
+    def test_malformed_plain_xy_names_first_bad_row(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_points_csv(path)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "text,expected",
         [

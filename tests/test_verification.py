@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +94,16 @@ class TestIndividualChecks:
             result = check()
         assert result.passed is False
         assert np.isnan(getattr(result, gated))
+
+    def test_zero_reference_gives_finite_relative_error(self):
+        # this seed draws a channel whose FD reference is exactly 0 and whose
+        # absolute error exceeds abs_tol; the floored divisor keeps the report
+        # strict JSON and numpy quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = check_theorem1(seed=2126319109, trials=10)
+        assert math.isfinite(result.max_rel_error)
+        assert result.passed == (result.max_rel_error <= result.tolerance)
 
     def test_empty_grid_fails_check(self):
         result = check_theorem2(grid=np.array([]))
