@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -32,12 +33,14 @@ class TestMirrorAugment:
         assert data.n_original == 9
 
     def test_rejects_unattainable_targets(self):
-        with pytest.raises(ValueError):
-            mirror_augment([(1.0, 5.0)], channels=2)  # |y| >= sqrt(C-1) = 1
+        # |y| >= sqrt(C-1) = 1; the message names the first bad point
+        match = r"^target y=5\.0 is unattainable: \|y\| must be < sqrt\(C-1\) = 1$"
+        with pytest.raises(ValueError, match=match):
+            mirror_augment([(1.0, 0.5), (1.0, 5.0), (2.0, -7.0)], channels=2)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            mirror_augment([(float("nan"), 0.0)], channels=10)
+        with pytest.raises(ValueError, match=r"^non-finite data point \(nan, 0\.0\)$"):
+            mirror_augment([(1.0, 0.5), (float("nan"), 0.0), (2.0, float("inf"))], channels=10)
 
 
 def _dyt_data(alpha, c, n=20, seed=0):
@@ -172,3 +175,26 @@ class TestFitResult:
             FitDataset(points=(), channels=10)
         with pytest.raises(ValueError):
             FitDataset(points=((1.0, 0.5),), channels=1)
+
+
+# sha256 over repr((parameter, sse, mae, residuals, bracket, bracket_sse)) of
+# both fits on SimulationConfig(seed=s, channels=c), s = 0..19, c in {3, 100,
+# 1024}; a BracketFailure records a fixed token. Any change to the fitted
+# numbers, the bracket search or the residuals moves it.
+GOLDEN_FIT_SHA256 = "06fec340da466376589821582398030e4a780bd928484db68b25d789814aa0a5"
+
+
+def test_golden_fit_digest():
+    h = hashlib.sha256()
+    for s in range(20):
+        for c in (3, 100, 1024):
+            scenario = run_scenario(SimulationConfig(seed=s, channels=c))
+            data = mirror_augment(outlier_points(scenario), channels=c)
+            for fit in (fit_dyt, fit_dyisru):
+                try:
+                    r = fit(data)
+                    rec = repr((r.parameter, r.sse, r.mae, r.residuals, r.bracket, r.bracket_sse))
+                except BracketFailure:
+                    rec = "BracketFailure"
+                h.update(f"{s} {c} {fit.__name__} {rec}\n".encode())
+    assert h.hexdigest() == GOLDEN_FIT_SHA256
