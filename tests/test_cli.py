@@ -200,6 +200,15 @@ class TestFit:
         assert run("fit", "--input", csv, "--kind", "dyt", "--channels", 100, "--out", out) == 1
         assert not out.exists()
 
+    def test_flat_objective_exits_one(self, tmp_path, capsys):
+        # all x are zero: every beta fits equally badly, so there is no minimum to report
+        csv = tmp_path / "zero_x.csv"
+        csv.write_text("x,y\n0.0,0.0\n0.0,0.5\n")
+        out = tmp_path / "f"
+        assert run("fit", "--input", csv, "--kind", "dyisru", "--channels", 100, "--out", out) == 1
+        assert "fit failed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFigures:
     def test_artifacts(self, tmp_path):

@@ -17,19 +17,20 @@ from dynact.simulation import SimulationConfig, outlier_points, run_scenario
 
 class TestMirrorAugment:
     def test_adds_mirrors(self):
-        data = mirror_augment([(2.0, 1.0)], channels=10)
-        assert data.points == ((2.0, 1.0), (-2.0, -1.0))
-        assert data.mirrored
-        assert data.n_original == 1
+        data = mirror_augment([(2.0, 1.0), (0.0, 0.5)], channels=10)
+        assert data.x.tolist() == [2.0, 0.0, -2.0, -0.0]
+        assert data.y.tolist() == [1.0, 0.5, -1.0, -0.5]
+        assert data.n_original == 2
 
     def test_self_mirror_deduplicated(self):
-        data = mirror_augment([(0.0, 0.0)], channels=10)
-        assert data.points == ((0.0, 0.0),)
+        data = mirror_augment([(1.0, 0.5), (0.0, 0.0)], channels=10)
+        assert data.x.tolist() == [1.0, 0.0, -1.0]
+        assert data.y.tolist() == [0.5, 0.0, -0.5]
 
     def test_nine_outliers_give_eighteen_points(self):
         scenario = run_scenario(SimulationConfig(seed=0))
         data = mirror_augment(outlier_points(scenario), channels=100)
-        assert len(data.points) == 18
+        assert len(data.x) == len(data.y) == 18
         assert data.n_original == 9
 
     def test_rejects_unattainable_targets(self):
@@ -89,7 +90,7 @@ class TestOptimality:
         data = mirror_augment(outlier_points(scenario), channels=100)
         fit = fit_dyt if kind == "dyt" else fit_dyisru
         result = fit(data)
-        xs, ys = data.xy_arrays()
+        xs, ys = data.x, data.y
         root = math.sqrt(data.channels - 1)
 
         def sse(theta):
@@ -120,7 +121,7 @@ def test_mirror_symmetry():
     scenario = run_scenario(SimulationConfig(seed=5))
     pts = outlier_points(scenario)
     odd = pts + [(-x, -y) for x, y in pts]
-    plain = FitDataset(points=tuple(odd), channels=100)
+    plain = FitDataset([x for x, _ in odd], [y for _, y in odd], channels=100)
     augmented = mirror_augment(odd, channels=100)
     for fit in (fit_dyt, fit_dyisru):
         a = fit(plain).parameter
@@ -148,9 +149,24 @@ class TestBracketFailure:
             fit_dyt(data)
 
     def test_all_x_zero(self):
-        data = FitDataset(points=((0.0, 0.0), (0.0, 0.5)), channels=100)
+        data = FitDataset([0.0, 0.0], [0.0, 0.5], channels=100)
         with pytest.raises(BracketFailure):
             fit_dyt(data)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "fit, x, y",
+        [
+            (fit_dyisru, [0.0, 0.0], [0.0, 0.5]),  # all x zero: y = 0 for every beta
+            (fit_dyisru, [1e200, -1e200], [1.0, -1.0]),  # x * x overflows: y = 0 for every beta
+            (fit_dyt, [1e-320, -1e-320], [1.0, -1.0]),  # alpha * x < 1e-300 over the whole domain
+        ],
+        ids=["zero_x", "huge_x", "subnormal_x"],
+    )
+    def test_flat_objective_is_not_a_minimum(self, fit, x, y):
+        # the SSE is the same everywhere; a bracket at the domain edge is no fit
+        with pytest.raises(BracketFailure):
+            fit(FitDataset(x, y, channels=100))
 
 
 class TestFitResult:
@@ -171,10 +187,36 @@ class TestFitResult:
         assert set(d) == {"function_kind", "parameter", "sse", "mae", "n_points"}
 
     def test_dataset_validation(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            FitDataset([], [], channels=10)
+        with pytest.raises(ValueError, match="channels must be >= 2"):
+            FitDataset([1.0], [0.5], channels=1)
+
+
+class TestFitDataset:
+    @pytest.mark.parametrize(
+        "x, y", [([1.0, 2.0], [0.5]), ([[1.0, 2.0]], [[0.5, 0.6]])], ids=["unequal", "2d"]
+    )
+    def test_rejects_mismatched_or_2d(self, x, y):
+        with pytest.raises(ValueError, match="1-D of equal length"):
+            FitDataset(x, y, channels=10)
+
+    def test_stores_read_only_copies(self):
+        x = np.array([1.0, 2.0])
+        data = FitDataset(x, [0.5, 0.6], channels=10)
+        x[0] = 9.0
+        assert data.x.tolist() == [1.0, 2.0]
+        assert data.x.dtype == data.y.dtype == np.float64
         with pytest.raises(ValueError):
-            FitDataset(points=(), channels=10)
+            data.x[0] = 3.0
         with pytest.raises(ValueError):
-            FitDataset(points=((1.0, 0.5),), channels=1)
+            data.y[0] = 3.0
+
+    def test_equality_is_identity(self):
+        a = FitDataset([1.0], [0.5], channels=10)
+        b = FitDataset([1.0], [0.5], channels=10)
+        assert a == a
+        assert (a == b) is False
 
 
 # sha256 over repr((parameter, sse, mae, residuals, bracket, bracket_sse)) of
