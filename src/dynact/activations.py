@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynact.core_math import as_channel_vector, _check_index
+from dynact.core_math import as_channel_vector, _centered, _check_index
 
 # Lower clamp for beta when constructing DyISRUParams from a channel-exact
 # value: beta = 0 is analytically valid but collapses DyISRU to a step.
@@ -21,14 +21,14 @@ BETA_MIN = 1e-18
 
 @dataclass(frozen=True)
 class DyTParams:
-    """Slope alpha > 0 and channel count C >= 2 for scaled DyT."""
+    """Finite slope alpha > 0 and channel count C >= 2 for scaled DyT."""
 
     alpha: float
     channels: int
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.channels < 2:
             raise ValueError(f"channels must be >= 2, got {self.channels}")
 
@@ -78,9 +78,9 @@ def dyisru(x, p: DyISRUParams):
 
 
 def isru(x, alpha: float):
-    """Inverse square root unit x / sqrt(1 + alpha * x^2), alpha > 0."""
-    if not (alpha > 0):
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    """Inverse square root unit x / sqrt(1 + alpha * x^2), alpha finite and > 0."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     xa = np.asarray(x, dtype=np.float64)
     return xa / np.sqrt(1.0 + alpha * xa * xa)
 
@@ -92,14 +92,13 @@ def beta_exact(x, i):
     C-1 over the channels k != i. Always >= 0 analytically (it is a squared
     integration constant); may be exactly 0, so clamp with BETA_MIN before
     building DyISRUParams from it. An int ``i`` gives a float, an integer
-    index array gives the array of betas at those channels.
+    index array gives the array of betas at those channels. A (near-)constant
+    vector raises DegenerateVariance, as in layer_norm.
     """
     arr = as_channel_vector(x)
-    c = arr.size
-    i = _check_index(i, c)
-    dev = arr - arr.mean()
+    i = _check_index(i, arr.size)
+    dev, var = _centered(arr)
     sq = dev * dev
-    var = float(np.mean(sq))
     # (C-1) * var_excluding_i is just the deviation sum of squares without i
     beta = np.sum(sq) - sq[i] - var
     return float(beta) if np.ndim(beta) == 0 else beta

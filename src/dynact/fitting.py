@@ -36,8 +36,10 @@ class BracketFailure(RuntimeError):
 class FitDataset:
     """(x, y) targets for a single-parameter fit against a C-channel activation.
 
-    x and y are stored as read-only float64 copies. Array fields make the
-    generated ``==`` ambiguous, so datasets compare by identity.
+    x and y are stored as read-only float64 copies. The first n_original
+    points are the unmirrored ones (all of them by default), 1 <= n_original
+    <= len(x). Array fields make the generated ``==`` ambiguous, so datasets
+    compare by identity.
     """
 
     x: np.ndarray
@@ -67,6 +69,8 @@ class FitDataset:
         object.__setattr__(self, "y", y)
         if self.n_original is None:
             object.__setattr__(self, "n_original", len(x))
+        elif not 1 <= self.n_original <= len(x):
+            raise ValueError(f"n_original must be in [1, {len(x)}], got {self.n_original}")
 
 
 @dataclass(frozen=True)

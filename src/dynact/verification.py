@@ -2,9 +2,9 @@
 
 Each check exercises one closed-form identity against an independent numeric
 route (central finite differences, or a differently-computed second side) over
-randomized or gridded inputs, and records the worst observed error. Checks are
-deterministic given (seed, parameters): every check owns an RNG stream keyed
-by its name.
+randomized or gridded inputs, and records the worst observed error against a
+fixed tolerance. Checks are deterministic given (seed, trials): every check
+owns an RNG stream keyed by its name. Checks 2 and 3 take no inputs at all.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ from dynact.core_math import layer_norm, ln_derivative_analytic
 from dynact.rng import CounterRng
 
 FD_STEP = 1e-5
+
+# Fixed inputs of checks 2 and 3: one x grid (read-only) and one channel tuple.
+_GRID = np.linspace(-100.0, 100.0, 2001)
+_GRID.flags.writeable = False
+_CHANNELS = (2, 50, 100)
 
 # Variance floor for random draws; anything below is redrawn.
 _REDRAW_VAR = 1e-12
@@ -62,26 +67,26 @@ class VerificationReport:
             "checks": [asdict(c) for c in self.checks],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
-def ln_derivative_fd(x, h: float = FD_STEP) -> np.ndarray:
+def ln_derivative_fd(x) -> np.ndarray:
     """Central-difference d(layer_norm(x)_i)/dx_i for every channel i.
 
-    Row i of each perturbed matrix is x with +-h on channel i; only the
+    Row i of each perturbed matrix is x with +-FD_STEP on channel i; only the
     diagonal of the row-normalized result is the bumped channel's output.
     """
     x = np.asarray(x, dtype=np.float64)
     c = x.size
-    bump = np.eye(c) * h
+    bump = np.eye(c) * FD_STEP
 
     def normalized_diag(mat: np.ndarray) -> np.ndarray:
         mu = mat.mean(axis=1, keepdims=True)
         var = ((mat - mu) ** 2).mean(axis=1, keepdims=True)
         return np.einsum("ii->i", (mat - mu) / np.sqrt(var))
 
-    return (normalized_diag(x + bump) - normalized_diag(x - bump)) / (2.0 * h)
+    return (normalized_diag(x + bump) - normalized_diag(x - bump)) / (2.0 * FD_STEP)
 
 
 def _draw_vector(rng: CounterRng, c: int) -> np.ndarray:
@@ -136,62 +141,44 @@ def check_theorem1(
     return _result("ln_derivative_vs_fd", trials * len(c_list), abs_errs, rel_errs, rel_tol)
 
 
-def check_theorem2(
-    alpha_list: tuple[float, ...] = (0.049, 0.5, 2.0),
-    c_list: tuple[int, ...] = (2, 50, 100),
-    grid: np.ndarray | None = None,
-    abs_tol: float = 1e-8,
-) -> CheckResult:
+def check_theorem2() -> CheckResult:
     """Scaled DyT solves dy/dx = F * (C-1 - y^2) with constant F = alpha / sqrt(C-1).
 
     The analytic derivative alpha * sqrt(C-1) * (1 - tanh(alpha x)^2) is
-    compared to the right-hand side, and cross-checked by central FD.
+    compared to the right-hand side, and cross-checked by central FD, to 1e-8 absolute.
     """
-    if grid is None:
-        grid = np.linspace(-100.0, 100.0, 2001)
-    grid = np.asarray(grid, dtype=np.float64)
+    alphas, abs_tol = (0.049, 0.5, 2.0), 1e-8
     abs_errs, rel_errs = [], []
-    for alpha in alpha_list:
-        if not alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
-        for c in c_list:
+    for alpha in alphas:
+        for c in _CHANNELS:
             p = DyTParams(alpha=alpha, channels=c)
             root = math.sqrt(c - 1)
-            y = scaled_dyt(grid, p)
+            y = scaled_dyt(_GRID, p)
             rhs = (alpha / root) * (c - 1 - y * y)
-            analytic = alpha * root * (1.0 - np.tanh(alpha * grid) ** 2)
-            fd = (scaled_dyt(grid + FD_STEP, p) - scaled_dyt(grid - FD_STEP, p)) / (2 * FD_STEP)
+            analytic = alpha * root * (1.0 - np.tanh(alpha * _GRID) ** 2)
+            fd = (scaled_dyt(_GRID + FD_STEP, p) - scaled_dyt(_GRID - FD_STEP, p)) / (2 * FD_STEP)
             abs_err = np.maximum(np.abs(analytic - rhs), np.abs(fd - rhs))
             abs_errs.append(abs_err.max(initial=0.0))
             big = np.abs(rhs) > abs_tol
             rel_errs.append((abs_err[big] / np.abs(rhs[big])).max(initial=0.0))
-    trials = len(alpha_list) * len(c_list) * grid.size
+    trials = len(alphas) * len(_CHANNELS) * _GRID.size
     return _result("scaled_dyt_ode_identity", trials, abs_errs, rel_errs, abs_tol, gate_abs=True)
 
 
-def check_theorem3(
-    beta_list: tuple[float, ...] = (0.5, 1.0, 301.1),
-    c_list: tuple[int, ...] = (2, 50, 100),
-    mu_list: tuple[float, ...] = (0.0, 2.5),
-    grid: np.ndarray | None = None,
-    rel_tol: float = 1e-10,
-) -> CheckResult:
-    """DyISRU solves the full separable ODE with beta and mu held fixed.
+def check_theorem3() -> CheckResult:
+    """DyISRU solves the full separable ODE with beta and mu held fixed, to 1e-10 relative.
 
     With u = x - mu and du/dx = (C-1)/C, the identity reads
     (dy/du) * (C-1)/C = (1/C) * (y/u) * (C-1 - y^2) for all u != 0; the left
     side uses the analytic derivative sqrt(C-1) * beta / (beta + u^2)^(3/2).
     """
-    if grid is None:
-        grid = np.linspace(-100.0, 100.0, 2001)
-    grid = np.asarray(grid, dtype=np.float64)
     abs_errs, rel_errs = [], []
     n_points = 0
-    for beta in beta_list:
-        for c in c_list:
-            for mu in mu_list:
+    for beta in (0.5, 1.0, 301.1):
+        for c in _CHANNELS:
+            for mu in (0.0, 2.5):
                 p = DyISRUParams(beta=beta, channels=c, mu=mu)
-                x = grid[grid != mu]
+                x = _GRID[_GRID != mu]
                 u = x - mu
                 n_points += u.size
                 root = math.sqrt(c - 1)
@@ -201,22 +188,17 @@ def check_theorem3(
                 abs_err = np.abs(lhs - rhs)
                 abs_errs.append(abs_err.max(initial=0.0))
                 rel_errs.append((abs_err / np.maximum(np.abs(rhs), _TINY)).max(initial=0.0))
-    return _result("dyisru_general_ode_identity", n_points, abs_errs, rel_errs, rel_tol)
+    return _result("dyisru_general_ode_identity", n_points, abs_errs, rel_errs, 1e-10)
 
 
-def check_theorem4(
-    seed: int,
-    trials: int = 500,
-    c_max: int = 100,
-    rel_tol: float = 1e-10,
-) -> CheckResult:
-    """Channel-exact beta makes DyISRU centered on the mean reproduce layer_norm exactly."""
+def check_theorem4(seed: int, trials: int = 500) -> CheckResult:
+    """Channel-exact beta makes DyISRU centered on the mean reproduce layer_norm to 1e-10."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = CounterRng(seed, "channel_exact_beta_vs_ln")
     abs_errs, rel_errs = [], []
     for _ in range(trials):
-        c = rng.randint(2, c_max)
+        c = rng.randint(2, 100)
         x = _draw_vector(rng, c)
         y = layer_norm(x)
         mu = float(np.mean(x))
@@ -225,15 +207,11 @@ def check_theorem4(
         abs_err = np.abs(d - y)
         abs_errs.append(abs_err.max(initial=0.0))
         rel_errs.append((abs_err / np.maximum(np.abs(y), _TINY)).max(initial=0.0))
-    return _result("channel_exact_beta_vs_ln", trials, abs_errs, rel_errs, rel_tol)
+    return _result("channel_exact_beta_vs_ln", trials, abs_errs, rel_errs, 1e-10)
 
 
-def check_isru_equivalence(
-    seed: int,
-    trials: int = 500,
-    rel_tol: float = 1e-12,
-) -> CheckResult:
-    """sqrt(beta) * dyisru(x; beta, C) = sqrt(C-1) * isru(x; 1/beta)."""
+def check_isru_equivalence(seed: int, trials: int = 500) -> CheckResult:
+    """sqrt(beta) * dyisru(x; beta, C) = sqrt(C-1) * isru(x; 1/beta), to 1e-12 relative."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = CounterRng(seed, "dyisru_isru_equivalence")
@@ -247,15 +225,15 @@ def check_isru_equivalence(
         abs_err = abs(lhs - rhs)
         abs_errs.append(abs_err)
         rel_errs.append(abs_err / max(abs(rhs), _TINY))
-    return _result("dyisru_isru_equivalence", trials, abs_errs, rel_errs, rel_tol)
+    return _result("dyisru_isru_equivalence", trials, abs_errs, rel_errs, 1e-12)
 
 
 def run_all_checks(seed: int, trials: int = 100) -> VerificationReport:
     """Run the five identity checks and collect them into one report."""
-    report = VerificationReport(seed=seed)
-    report.checks.append(check_theorem1(seed, trials=trials))
-    report.checks.append(check_theorem2())
-    report.checks.append(check_theorem3())
-    report.checks.append(check_theorem4(seed, trials=trials * 5))
-    report.checks.append(check_isru_equivalence(seed, trials=trials * 5))
-    return report
+    return VerificationReport(seed, [
+        check_theorem1(seed, trials),
+        check_theorem2(),
+        check_theorem3(),
+        check_theorem4(seed, trials * 5),
+        check_isru_equivalence(seed, trials * 5),
+    ])

@@ -33,33 +33,28 @@ def test_criterion_1_ln_derivative_matches_finite_differences():
 
 def test_criterion_2_scaled_dyt_ode_residual():
     start = time.perf_counter()
-    result = check_theorem2(
-        alpha_list=(0.049, 0.5, 2.0),
-        c_list=(2, 50, 100),
-        grid=np.linspace(-100.0, 100.0, 2001),
-        abs_tol=1e-8,
-    )
+    result = check_theorem2()
     elapsed = time.perf_counter() - start
-    ok = result.passed and elapsed < 1.0
+    ok = result.passed and result.tolerance == 1e-8 and elapsed < 1.0
     report(2, f"scaled DyT ODE residual <= 1e-8 (max={result.max_abs_error:.2e}, {elapsed:.2f}s)", ok)
 
 
 def test_criterion_3_dyisru_ode_residual():
-    result = check_theorem3(grid=np.linspace(-100.0, 100.0, 2001), rel_tol=1e-10)
+    result = check_theorem3()
     report(3, f"DyISRU-general ODE rel residual <= 1e-10 (max={result.max_rel_error:.2e})",
-           result.passed)
+           result.passed and result.tolerance == 1e-10)
 
 
 def test_criterion_4_channel_exact_beta_equals_ln():
-    result = check_theorem4(seed=7, trials=500, c_max=100, rel_tol=1e-10)
+    result = check_theorem4(seed=7, trials=500)
     report(4, f"channel-exact beta reproduces LN to 1e-10 (max={result.max_rel_error:.2e})",
-           result.passed)
+           result.passed and result.tolerance == 1e-10)
 
 
 def test_criterion_5_isru_identity():
-    result = check_isru_equivalence(seed=3, trials=500, rel_tol=1e-12)
+    result = check_isru_equivalence(seed=3, trials=500)
     report(5, f"sqrt(beta)*DyISRU = sqrt(C-1)*ISRU(1/beta) to 1e-12 (max={result.max_rel_error:.2e})",
-           result.passed)
+           result.passed and result.tolerance == 1e-12)
 
 
 def test_criterion_6_experiment_reproduction():

@@ -14,7 +14,7 @@ from dynact.activations import (
     isru,
     scaled_dyt,
 )
-from dynact.core_math import IndexOutOfRange, layer_norm
+from dynact.core_math import DegenerateVariance, IndexOutOfRange, layer_norm
 from dynact.fitting import fit_dyisru, fit_dyt, mirror_augment
 from dynact.simulation import SimulationConfig, outlier_points, run_scenario
 
@@ -26,8 +26,10 @@ channel_counts = st.integers(min_value=2, max_value=100)
 
 class TestParams:
     def test_dyt_validation(self):
-        with pytest.raises(ValueError):
-            DyTParams(alpha=0.0, channels=10)
+        # an infinite alpha would make scaled_dyt(0) = sqrt(C-1) * tanh(inf * 0) NaN
+        for alpha in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                DyTParams(alpha=alpha, channels=10)
         with pytest.raises(ValueError):
             DyTParams(alpha=1.0, channels=1)
 
@@ -192,8 +194,9 @@ class TestIsru:
         assert float(isru(2.0, 0.25)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            isru(1.0, 0.0)
+        for alpha in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                isru(0.0, alpha)
 
     @given(xs, st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
     def test_odd(self, x, alpha):
@@ -215,6 +218,11 @@ class TestBetaExact:
         # x = (3, 0, 0): var 2; excluding channel 1 the divisor-2 variance is 2.5
         assert beta_exact([3.0, 0.0, 0.0], 1) == pytest.approx(3.0, rel=1e-14)
         assert beta_exact([3.0, 0.0, 0.0], 0) == pytest.approx(0.0, abs=1e-14)
+
+    def test_constant_vector_is_degenerate(self):
+        # the same refusal as layer_norm, instead of a silent beta of 0
+        with pytest.raises(DegenerateVariance):
+            beta_exact([2.0, 2.0, 2.0], 0)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):

@@ -40,8 +40,11 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 1
 
-    def test_zero_trials_is_usage_error(self, tmp_path):
-        assert run("verify", "--trials", 0, "--out", tmp_path / "r.json") == 2
+    def test_zero_trials_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run("verify", "--trials", 0, "--out", out) == 2
+        assert "trials" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_path(self):
         assert run("verify", "--trials", 5, "--out", "/nonexistent/dir/r.json") == 3

@@ -192,6 +192,12 @@ class TestFitResult:
         with pytest.raises(ValueError, match="channels must be >= 2"):
             FitDataset([1.0], [0.5], channels=1)
 
+    @pytest.mark.parametrize("n_original", [0, 4, 7])
+    def test_n_original_must_count_stored_points(self, n_original):
+        # 7 used to report n_points=7 beside 3 residuals, 0 a NaN mae
+        with pytest.raises(ValueError, match=rf"^n_original must be in \[1, 3\], got {n_original}$"):
+            FitDataset([1.0, 2.0, 3.0], [0.5, 0.9, 1.2], channels=10, n_original=n_original)
+
 
 class TestFitDataset:
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dynact import verification
 from dynact.verification import (
     check_isru_equivalence,
     check_theorem1,
@@ -45,11 +46,6 @@ class TestIndividualChecks:
         assert result.passed
         assert result.max_abs_error <= 1e-8
 
-    def test_dyt_ode_identity_tiny_alpha_grid(self):
-        result = check_theorem2(alpha_list=(0.5,), c_list=(50,))
-        assert result.passed
-        assert result.max_abs_error <= 1e-10
-
     def test_dyisru_ode_identity(self):
         result = check_theorem3()
         assert result.passed
@@ -80,16 +76,17 @@ class TestIndividualChecks:
 
 
     @pytest.mark.parametrize(
-        "check, gated",
+        "check, grid, gated",
         [
-            (lambda: check_theorem2(grid=np.array([1.0, np.nan])), "max_abs_error"),
-            (lambda: check_theorem3(grid=np.array([1.0, np.inf])), "max_rel_error"),
+            (check_theorem2, [1.0, np.nan], "max_abs_error"),
+            (check_theorem3, [1.0, np.inf], "max_rel_error"),
         ],
         ids=["theorem2_nan", "theorem3_inf"],
     )
-    def test_nan_error_fails_check(self, check, gated):
+    def test_nan_error_fails_check(self, monkeypatch, check, grid, gated):
         # the NaN must not be dropped by the reduction, nor hide the finite
         # errors beside it
+        monkeypatch.setattr(verification, "_GRID", np.array(grid))
         with np.errstate(invalid="ignore"):
             result = check()
         assert result.passed is False
@@ -105,8 +102,9 @@ class TestIndividualChecks:
         assert math.isfinite(result.max_rel_error)
         assert result.passed == (result.max_rel_error <= result.tolerance)
 
-    def test_empty_grid_fails_check(self):
-        result = check_theorem2(grid=np.array([]))
+    def test_empty_grid_fails_check(self, monkeypatch):
+        monkeypatch.setattr(verification, "_GRID", np.array([]))
+        result = check_theorem2()
         assert result.trials == 0
         assert result.passed is False
 
