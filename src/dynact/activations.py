@@ -35,27 +35,27 @@ class DyTParams:
 
 @dataclass(frozen=True)
 class DyISRUParams:
-    """Denominator offset beta > 0, channel count C >= 2, and center mu.
+    """Finite denominator offset beta > 0, channel count C >= 2, and center mu.
 
-    ``beta`` is a scalar or a per-channel array that broadcasts against x.
-    Two params are equal when their betas have the same shape and values and
-    their channels and mu are equal, so a scalar beta never equals an array.
+    ``beta`` and ``mu`` are scalars or arrays that broadcast against x, e.g. a
+    per-channel beta or a (k, 1) mu for a (k, C) stack. Params are equal when
+    channels, beta and mu (shape and values) are, so a scalar never equals an array.
     """
 
     beta: float | np.ndarray
     channels: int
-    mu: float = 0.0
+    mu: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.beta) > 0):
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not ((np.asarray(self.beta) > 0) & (self.beta < np.inf)).all():
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if self.channels < 2:
             raise ValueError(f"channels must be >= 2, got {self.channels}")
 
     def _key(self) -> tuple:
         # beta > 0 rules out NaN and -0.0, so equal bytes means equal values
         beta = np.asarray(self.beta, dtype=np.float64)
-        return (beta.shape, beta.tobytes(), self.channels, self.mu)
+        return (beta.shape, beta.tobytes(), self.channels, np.shape(self.mu), *np.ravel(self.mu).tolist())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -91,14 +91,14 @@ def beta_exact(x, i):
     Equals (C-1) * var_excluding_i - var, where var_excluding_i uses divisor
     C-1 over the channels k != i. Always >= 0 analytically (it is a squared
     integration constant); may be exactly 0, so clamp with BETA_MIN before
-    building DyISRUParams from it. An int ``i`` gives a float, an integer
-    index array gives the array of betas at those channels. A (near-)constant
-    vector raises DegenerateVariance, as in layer_norm.
+    building DyISRUParams from it. An int ``i`` on one vector gives a float,
+    an integer index array the betas at those channels of each row of a
+    (..., C) x. A (near-)constant vector raises DegenerateVariance.
     """
     arr = as_channel_vector(x)
-    i = _check_index(i, arr.size)
-    dev, var = _centered(arr)
+    i = _check_index(i, arr.shape[-1])
+    dev, var = _centered(arr, keepdims=i.ndim > 0)
     sq = dev * dev
     # (C-1) * var_excluding_i is just the deviation sum of squares without i
-    beta = np.sum(sq) - sq[i] - var
+    beta = np.sum(sq, axis=-1, keepdims=i.ndim > 0) - sq[..., i] - var
     return float(beta) if np.ndim(beta) == 0 else beta

@@ -1,8 +1,8 @@
 """Layer normalization and its analytic derivative.
 
-All operations act on a single channel vector (one token representation of
-length C >= 2) and use population statistics (divisor C). Everything is pure
-and 64-bit.
+All operations act on channel vectors (one token representation of length
+C >= 2) along the last axis, so each row of a (..., C) stack gets the bits of
+the 1-D call, and use population statistics (divisor C). Pure and 64-bit.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ class IndexOutOfRange(IndexError):
 
 
 def as_channel_vector(x) -> np.ndarray:
-    """Validate and convert to a float64 channel vector (1-D, C >= 2, finite)."""
+    """Validate and convert to float64 channel vectors (..., C), C >= 2, all finite."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D channel vector, got shape {arr.shape}")
-    if arr.size < 2:
-        raise ValueError("channel vector needs at least 2 entries")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim < 1 or arr.shape[-1] < 2:
+        raise ValueError(f"channel vectors need at least 2 entries, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError("channel vector entries must be finite")
     return arr
 
@@ -41,18 +39,19 @@ def _check_index(i, c: int):
     """
     idx = np.asarray(i, dtype=np.int64)
     bad = (idx < 0) | (idx >= c)
-    if np.any(bad):
+    if bad.any():
         raise IndexOutOfRange(f"channel index {idx[bad].flat[0]} outside [0, {c})")
     return idx
 
 
-def _centered(arr: np.ndarray) -> tuple[np.ndarray, np.floating]:
-    """Deviations x - mean and population variance; refuses a (near-)constant vector."""
-    dev = arr - arr.mean()
-    var = np.mean(dev**2)
-    if var <= VAR_EPSILON:
+def _centered(arr: np.ndarray, keepdims: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Row deviations x - mean and population variances; refuses a (near-)constant row."""
+    # each mean has np.mean's bits (row sum, then / C) without its Python overhead
+    dev = arr - np.add.reduce(arr, axis=-1, keepdims=True) / arr.shape[-1]
+    var = np.add.reduce(dev**2, axis=-1, keepdims=keepdims) / arr.shape[-1]
+    if (var <= VAR_EPSILON).any():
         raise DegenerateVariance(
-            f"variance {var:.3g} is at or below the degeneracy threshold {VAR_EPSILON:.0e}"
+            f"variance {np.min(var):.3g} is at or below the degeneracy threshold {VAR_EPSILON:.0e}"
         )
     return dev, var
 
@@ -68,14 +67,14 @@ def ln_derivative_analytic(x, i):
 
     Equals F(x) * (C - 1 - y_i^2) with F(x) = 1 / (C * sqrt(variance)) and
     y = layer_norm(x). Zero exactly when y_i hits the extremum +-sqrt(C-1).
-    Channel index ``i`` is 0-based: an int gives a float, an integer index
-    array gives the array of derivatives at those channels.
+    Channel index ``i`` is 0-based: an int on one vector gives a float, an
+    integer index array gives the derivatives at those channels of each row.
     """
     arr = as_channel_vector(x)
-    c = arr.size
+    c = arr.shape[-1]
     i = _check_index(i, c)
-    dev, var = _centered(arr)
+    dev, var = _centered(arr, keepdims=i.ndim > 0)
     sd = np.sqrt(var)
-    y_i = dev[i] / sd
+    y_i = dev[..., i] / sd
     d = (1.0 / (c * sd)) * (c - 1 - y_i**2)
     return float(d) if np.ndim(d) == 0 else d

@@ -13,8 +13,8 @@ takes the next counter value(s) in order:
   ``u2 = (w2 >> 11) * 2**-53`` in [0, 1), and the value is
   ``sqrt(-2 log u1) * cos(2 pi u2)``.
 
-Because each word depends only on its counter, ``normals`` computes the
-whole counter range at once with wrapping ``np.uint64`` arithmetic. ``u1``
+Because each word depends only on its counter, ``peek`` computes a whole
+counter range at once with wrapping ``np.uint64`` arithmetic. ``u1``
 and ``u2`` are exact, and multiplication and sqrt are correctly rounded, so
 numpy reproduces those steps bit for bit. ``log`` and ``cos`` are not
 correctly rounded: numpy's own versions differ from the C library's in the
@@ -71,6 +71,20 @@ def _words(key: int, first: int, count: int) -> np.ndarray:
     return z
 
 
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from consecutive (u1, u2) word pairs, as uint64."""
+    # u >> 11 < 2**53: the conversion, the + 1 and the 2**-53 scaling are
+    # exact, and the 2 pi product rounds once, as in the one-draw formula
+    f = (u >> _U11).astype(np.float64)
+    f[0::2] += 1.0
+    f *= _TWO_POW_MINUS_53
+    f[1::2] *= _TWO_PI
+    u1_and_angle = f.tolist()
+    logs = np.fromiter(map(math.log, u1_and_angle[0::2]), dtype=np.float64, count=f.size // 2)
+    coss = np.fromiter(map(math.cos, u1_and_angle[1::2]), dtype=np.float64, count=f.size // 2)
+    return np.sqrt(-2.0 * logs) * coss
+
+
 def _fnv1a64(text: str) -> int:
     h = _FNV_OFFSET
     for byte in text.encode("utf-8"):
@@ -109,21 +123,21 @@ class CounterRng:
             raise ValueError("empty range")
         return low + self.u64() % (high - low + 1)
 
+    def peek(self, n: int) -> np.ndarray:
+        """The next n words as uint64, without consuming them."""
+        return _words(self._key, self._counter + 1, n)
+
+    def skip(self, n: int) -> None:
+        """Consume n counter values without computing their words."""
+        if n < 0:
+            raise ValueError(f"skip: n must be >= 0, got {n}")
+        self._counter += n
+
     def normals(self, n: int) -> np.ndarray:
         """n standard normals by Box-Muller; consumes 2n counter values."""
         n = operator.index(n)
         if n < 0:
             raise ValueError(f"normals: n must be >= 0, got {n}")
-        u = _words(self._key, self._counter + 1, 2 * n)
-        self._counter += 2 * n
-        u >>= _U11
-        # u < 2**53: the conversion, the + 1 and the 2**-53 scaling are exact,
-        # and the 2 pi product rounds once, as in the one-draw formula
-        f = u.astype(np.float64)
-        f[0::2] += 1.0
-        f *= _TWO_POW_MINUS_53
-        f[1::2] *= _TWO_PI
-        u1_and_angle = f.tolist()
-        logs = np.fromiter(map(math.log, u1_and_angle[0::2]), dtype=np.float64, count=n)
-        coss = np.fromiter(map(math.cos, u1_and_angle[1::2]), dtype=np.float64, count=n)
-        return np.sqrt(-2.0 * logs) * coss
+        u = self.peek(2 * n)
+        self.skip(2 * n)
+        return _box_muller(u)

@@ -25,7 +25,7 @@ from dynact.activations import (
     scaled_dyt,
 )
 from dynact.core_math import layer_norm, ln_derivative_analytic
-from dynact.rng import CounterRng
+from dynact.rng import CounterRng, _box_muller
 
 FD_STEP = 1e-5
 
@@ -39,6 +39,8 @@ _REDRAW_VAR = 1e-12
 
 # Floor for the reference a relative error divides by, so an exact zero gives a finite error.
 _TINY = 1e-300
+
+_BATCH = 2**15  # floats in one batch of drawn words or of check 1's (trials, C, C) reference
 
 
 @dataclass(frozen=True)
@@ -72,21 +74,12 @@ class VerificationReport:
 
 
 def ln_derivative_fd(x) -> np.ndarray:
-    """Central-difference d(layer_norm(x)_i)/dx_i for every channel i.
-
-    Row i of each perturbed matrix is x with +-FD_STEP on channel i; only the
-    diagonal of the row-normalized result is the bumped channel's output.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    c = x.size
-    bump = np.eye(c) * FD_STEP
-
-    def normalized_diag(mat: np.ndarray) -> np.ndarray:
-        mu = mat.mean(axis=1, keepdims=True)
-        var = ((mat - mu) ** 2).mean(axis=1, keepdims=True)
-        return np.einsum("ii->i", (mat - mu) / np.sqrt(var))
-
-    return (normalized_diag(x + bump) - normalized_diag(x - bump)) / (2.0 * FD_STEP)
+    """Central-difference d(layer_norm(x)_i)/dx_i for each channel i of each row of (..., C) x."""
+    rows = np.asarray(x, dtype=np.float64)[..., None, :]
+    bump = np.eye(rows.shape[-1]) * FD_STEP
+    # copying the diagonal frees each (..., C, C) result before the next one is built
+    plus, minus = (np.diagonal(layer_norm(m), 0, -2, -1).copy() for m in (rows + bump, rows - bump))
+    return (plus - minus) / (2.0 * FD_STEP)
 
 
 def _draw_vector(rng: CounterRng, c: int) -> np.ndarray:
@@ -96,6 +89,41 @@ def _draw_vector(rng: CounterRng, c: int) -> np.ndarray:
         x = sigma * rng.normals(c)
         if np.mean((x - x.mean()) ** 2) >= _REDRAW_VAR:
             return x
+
+
+def _draw_vectors(rng: CounterRng, trials: int, c: int | None = None):
+    """Yield what ``_draw_vector(rng, c)`` draws in each trial (after C = rng.randint(2, 100)
+    without c) as (k, C) matrices, one per C, from one peek and one Box-Muller pass per batch
+    of at most _BATCH words. A batch ends at the first trial that needs a redraw, drawn alone.
+    """
+    lead = int(c is None)  # without c, a trial starts with its randint word
+    most = lead + 1 + 2 * (c or 100)  # words a trial takes at most
+    while trials:
+        n = min(trials, max(1, _BATCH // most))
+        words = rng.peek(n * most)
+        cs, first, at = [], [], 0
+        for _ in range(n):  # each trial's C and sigma word
+            cs.append(c or 2 + int(words[at]) % 99)  # as rng.randint(2, 100)
+            first.append(at + lead)
+            at += lead + 1 + 2 * cs[-1]
+        order = np.argsort(cs, kind="stable")  # by C, and by trial within a C
+        c_sorted, sigma_at = np.array(cs)[order], np.array(first)[order]
+        normal_words = np.concatenate([words[f + 1:f + 1 + 2 * k] for f, k in zip(sigma_at, c_sorted)])
+        sigma = 0.1 + (10.0 - 0.1) * ((words[sigma_at] >> np.uint64(11)) * 2.0**-53)  # as rng.uniform
+        flat = np.repeat(sigma, c_sorted) * _box_muller(normal_words)
+        c_set, counts = np.unique(c_sorted, return_counts=True)
+        mats = [m.reshape(-1, k) for m, k in zip(np.split(flat, np.cumsum(c_set * counts)[:-1]), c_set)]
+        var = [((x - x.mean(axis=-1, keepdims=True)) ** 2).mean(axis=-1) for x in mats]
+        ok = np.concatenate(var) >= _REDRAW_VAR
+        if not ok.all():
+            n = int(order[~ok].min())
+            yield from _draw_vectors(rng, n, c)
+            yield _draw_vector(rng, c or rng.randint(2, 100))[None]
+            trials -= n + 1
+            continue
+        rng.skip(at)
+        trials -= n
+        yield from mats
 
 
 def _result(name, trials, abs_errs, rel_errs, tol, gate_abs=False) -> CheckResult:
@@ -119,7 +147,7 @@ def check_theorem1(
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-8,
 ) -> CheckResult:
-    """Analytic LN derivative vs central finite differences, channel by channel."""
+    """Analytic LN derivative vs central finite differences, on (trials, C) batches."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if any(c < 2 for c in c_list):
@@ -127,17 +155,17 @@ def check_theorem1(
     rng = CounterRng(seed, "ln_derivative_vs_fd")
     abs_errs, rel_errs = [], []
     for c in c_list:
-        for _ in range(trials):
-            x = _draw_vector(rng, c)
-            fd = ln_derivative_fd(x)
-            analytic = ln_derivative_analytic(x, np.arange(c))
-            abs_err = np.abs(analytic - fd)
-            abs_errs.append(abs_err.max(initial=0.0))
-            # per channel: the absolute tolerance covers near-zero derivatives,
-            # everything else must meet the relative tolerance
-            need_rel = abs_err > abs_tol
-            ref = np.maximum(np.abs(fd[need_rel]), _TINY)
-            rel_errs.append((abs_err[need_rel] / ref).max(initial=0.0))
+        step = max(1, _BATCH // c**2)  # trials at once in the (trials, C, C) reference
+        for xs in _draw_vectors(rng, trials, c):
+            for x in (xs[k:k + step] for k in range(0, len(xs), step)):
+                fd = ln_derivative_fd(x)
+                abs_err = np.abs(ln_derivative_analytic(x, np.arange(c)) - fd)
+                abs_errs.append(abs_err.max(initial=0.0))
+                # per channel: the absolute tolerance covers near-zero derivatives,
+                # everything else must meet the relative tolerance
+                need_rel = abs_err > abs_tol
+                ref = np.maximum(np.abs(fd[need_rel]), _TINY)
+                rel_errs.append((abs_err[need_rel] / ref).max(initial=0.0))
     return _result("ln_derivative_vs_fd", trials * len(c_list), abs_errs, rel_errs, rel_tol)
 
 
@@ -197,13 +225,11 @@ def check_theorem4(seed: int, trials: int = 500) -> CheckResult:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = CounterRng(seed, "channel_exact_beta_vs_ln")
     abs_errs, rel_errs = [], []
-    for _ in range(trials):
-        c = rng.randint(2, 100)
-        x = _draw_vector(rng, c)
+    for x in _draw_vectors(rng, trials):
+        c = x.shape[-1]
         y = layer_norm(x)
-        mu = float(np.mean(x))
         beta = np.maximum(beta_exact(x, np.arange(c)), BETA_MIN)
-        d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=mu))
+        d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=x.mean(axis=-1, keepdims=True)))
         abs_err = np.abs(d - y)
         abs_errs.append(abs_err.max(initial=0.0))
         rel_errs.append((abs_err / np.maximum(np.abs(y), _TINY)).max(initial=0.0))

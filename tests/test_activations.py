@@ -44,8 +44,24 @@ class TestParams:
         DyISRUParams(beta=np.array([0.5, 2.0]), channels=2)
         with pytest.raises(ValueError):
             DyISRUParams(beta=np.array([0.5, 0.0]), channels=2)
-        with pytest.raises(ValueError):
-            DyISRUParams(beta=np.array([0.5, np.nan]), channels=2)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta must be finite and > 0"):
+                DyISRUParams(beta=bad, channels=10)
+            with pytest.raises(ValueError, match="beta must be finite and > 0"):
+                DyISRUParams(beta=np.array([0.5, bad]), channels=2)
+
+    def test_dyisru_row_mu_equality_and_hash(self):
+        # one mu per row of a (k, C) stack takes part in equality and hashing
+        a = DyISRUParams(beta=2.0, channels=3, mu=np.array([[0.5], [1.0]]))
+        b = DyISRUParams(beta=2.0, channels=3, mu=np.array([[0.5], [1.0]]))
+        assert a == b and hash(a) == hash(b)
+        assert a != DyISRUParams(beta=2.0, channels=3, mu=np.array([[0.5], [1.5]]))
+        assert a != DyISRUParams(beta=2.0, channels=3, mu=np.array([0.5, 1.0]))
+        assert DyISRUParams(beta=2.0, channels=3, mu=0.0) == DyISRUParams(beta=2.0, channels=3, mu=-0.0)
+        x = np.array([[0.0, 1.0, 2.0], [3.0, 1.0, -1.0]])
+        np.testing.assert_array_equal(
+            dyisru(x, a)[1], dyisru(x[1], DyISRUParams(beta=2.0, channels=3, mu=1.0))
+        )
 
     def test_dyisru_scalar_equality_and_hash(self):
         a = DyISRUParams(beta=4.0, channels=10, mu=0.5)

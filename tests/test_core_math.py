@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, assume
 from hypothesis import strategies as st
 
+from dynact.activations import beta_exact
 from dynact.core_math import (
     DegenerateVariance,
     IndexOutOfRange,
@@ -36,12 +37,13 @@ class TestLayerNorm:
     @pytest.mark.parametrize(
         "x,message",
         [
-            ([[1.0, 2.0], [3.0, 4.0]], "expected a 1-D channel vector, got shape"),
+            (1.0, "at least 2 entries"),
             ([1.0], "at least 2 entries"),
+            ([[1.0], [2.0]], "at least 2 entries"),
             ([1.0, math.nan], "must be finite"),
-            ([1.0, math.inf], "must be finite"),
+            ([[1.0, 2.0], [1.0, math.inf]], "must be finite"),
         ],
-        ids=["2d", "single", "nan", "inf"],
+        ids=["0d", "single", "short-last-axis", "nan", "inf"],
     )
     def test_bad_input_refused(self, x, message):
         with pytest.raises(ValueError, match=message):
@@ -70,6 +72,27 @@ class TestLayerNorm:
         # component ordering preserved (ties resolved within rounding slack)
         order = np.argsort(np.asarray(values), kind="stable")
         assert np.all(np.diff(y1[order]) >= -1e-10)
+
+
+@given(
+    st.integers(min_value=2, max_value=4096),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-20.0, max_value=30.0),
+)
+def test_rows_equal_one_dimensional_calls(c, rows, seed, log2_scale):
+    # (..., C) input is normalized row by row, bit for bit as the 1-D call
+    gen = np.random.default_rng(seed)
+    x = (gen.standard_normal((rows, c)) + gen.uniform(-5.0, 5.0)) * 2.0**log2_scale
+    idx = np.arange(c)
+    ln, deriv, beta = layer_norm(x), ln_derivative_analytic(x, idx), beta_exact(x, idx)
+    assert ln.shape == deriv.shape == beta.shape == (rows, c)
+    for r in range(rows):
+        np.testing.assert_array_equal(ln[r], layer_norm(x[r]))
+        np.testing.assert_array_equal(deriv[r], ln_derivative_analytic(x[r], idx))
+        np.testing.assert_array_equal(beta[r], beta_exact(x[r], idx))
+    stacked = layer_norm(x.reshape(rows, 1, c))
+    np.testing.assert_array_equal(stacked.reshape(rows, c), ln)
 
 
 class TestLnDerivative:

@@ -100,3 +100,18 @@ def test_negative_n_raises_and_leaves_the_counter(n):
     with pytest.raises(ValueError, match="n must be >= 0"):
         rng.normals(n)
     assert rng.u64() == untouched.u64()
+
+
+def test_peek_reads_ahead_and_skip_consumes():
+    rng, ref = CounterRng(3, "channel_exact_beta_vs_ln"), CounterRng(3, "channel_exact_beta_vs_ln")
+    rng.u64(), ref.u64()
+    words = rng.peek(5)
+    assert words.dtype == np.uint64
+    assert rng.peek(5).tolist() == words.tolist()  # peeking consumes nothing
+    assert words.tolist() == [ref.u64() for _ in range(5)]
+    rng.skip(2)
+    assert rng.u64() == int(words[2])
+    rng.skip(0)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        rng.skip(-1)
+    assert rng.u64() == int(words[3])

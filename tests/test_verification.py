@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from dynact import verification
+from dynact.activations import BETA_MIN, DyISRUParams, beta_exact, dyisru
+from dynact.core_math import layer_norm, ln_derivative_analytic
+from dynact.rng import CounterRng
 from dynact.verification import (
     check_isru_equivalence,
     check_theorem1,
@@ -165,6 +168,11 @@ GOLDEN_REPORT_SHA256 = {
     (8, 10): "1f0b5fe1a87024b4430aba04a24189a267c71ce24594c05ffc9b5627050b1d99",
     (9, 10): "d5b370cb30ed767ba3871a13d2d02fae295eef3b5440d0f0955db351c586cb3e",
     (1, 100): "4b4414e9522fcba7af0259c0d6a6ff4305c0041132bf2ca95250dcc6dc66450e",
+    # one trial, partial chunks, many chunks, and a report whose check 1 fails
+    (11, 1): "919a3e9bdc79c8366ea7a0b9fddd85b01d5a7e100f638a1de6c005d86e77d153",
+    (12, 7): "7fd6c0e2987de500ecf9e758f68a0b093ed644d466bc3cf67d8495b6c8209d93",
+    (13, 33): "729bcf2a5c22561214b51a8fa2e84bb4eb825de366b5a64b83de8692330d6675",
+    (75, 100): "766723d6bf9591aaf41d6ae42072f3bb39f66b0c7a5763077faf9b2cff84ecb8",
 }
 
 
@@ -174,3 +182,62 @@ def test_report_bytes_match_golden():
         for key in GOLDEN_REPORT_SHA256
     }
     assert got == GOLDEN_REPORT_SHA256
+
+
+def _oracle_theorem1(seed, trials, c_list=(2, 3, 10, 100), rel_tol=1e-6, abs_tol=1e-8):
+    """Check 1 as a per-trial loop of 1-D library calls; also counts redraws."""
+    rng = CounterRng(seed, "ln_derivative_vs_fd")
+    abs_errs, rel_errs, redraws = [], [], 0
+    for c in c_list:
+        for _ in range(trials):
+            before = rng._counter
+            x = verification._draw_vector(rng, c)
+            redraws += rng._counter - before > 1 + 2 * c
+            bump = np.eye(c) * verification.FD_STEP
+            plus = np.array([layer_norm(row)[k] for k, row in enumerate(x + bump)])
+            minus = np.array([layer_norm(row)[k] for k, row in enumerate(x - bump)])
+            fd = (plus - minus) / (2.0 * verification.FD_STEP)
+            analytic = np.array([ln_derivative_analytic(x, k) for k in range(c)])
+            abs_err = np.abs(analytic - fd)
+            abs_errs.append(abs_err.max())
+            need_rel = abs_err > abs_tol
+            ref = np.maximum(np.abs(fd[need_rel]), verification._TINY)
+            rel_errs.append((abs_err[need_rel] / ref).max(initial=0.0))
+    n = trials * len(c_list)
+    return verification._result("ln_derivative_vs_fd", n, abs_errs, rel_errs, rel_tol), redraws
+
+
+def _oracle_theorem4(seed, trials):
+    """Check 4 as a per-trial loop of 1-D library calls; also counts redraws."""
+    rng = CounterRng(seed, "channel_exact_beta_vs_ln")
+    abs_errs, rel_errs, redraws = [], [], 0
+    for _ in range(trials):
+        c = rng.randint(2, 100)
+        before = rng._counter
+        x = verification._draw_vector(rng, c)
+        redraws += rng._counter - before > 1 + 2 * c
+        y = layer_norm(x)
+        beta = np.array([max(beta_exact(x, k), BETA_MIN) for k in range(c)])
+        d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=float(np.mean(x))))
+        abs_err = np.abs(d - y)
+        abs_errs.append(abs_err.max())
+        rel_errs.append((abs_err / np.maximum(np.abs(y), verification._TINY)).max())
+    return verification._result("channel_exact_beta_vs_ln", trials, abs_errs, rel_errs, 1e-10), redraws
+
+
+@pytest.mark.parametrize("seed, trials", [(0, 1), (3, 9), (5, 40)])
+def test_batched_checks_match_per_trial_oracle_with_redraws(monkeypatch, seed, trials):
+    # a variance floor of 1.0 makes redraws frequent, so the batched draws
+    # must fall back to the per-trial loop and still leave the stream in place
+    monkeypatch.setattr(verification, "_REDRAW_VAR", 1.0)
+    want1, redraws1 = _oracle_theorem1(seed, trials)
+    want4, redraws4 = _oracle_theorem4(seed, 5 * trials)
+    assert redraws1 + redraws4 > 0
+    assert check_theorem1(seed, trials) == want1
+    assert check_theorem4(seed, 5 * trials) == want4
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_batched_checks_match_per_trial_oracle(seed):
+    assert check_theorem1(seed, 8) == _oracle_theorem1(seed, 8)[0]
+    assert check_theorem4(seed, 60) == _oracle_theorem4(seed, 60)[0]
