@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -48,7 +49,9 @@ FIG1_XMAX = 15.0
 DEFAULT_FRAMES = (0, 1, 2, 9)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at its first call and shared by every later main call."""
     parser = argparse.ArgumentParser(
         prog="dynact",
         description="Layer normalization vs dynamic activations: verification, simulation, fits, figures.",
@@ -95,7 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Out:
-    """A command's --out directory: made at the first write, each file UTF-8 and listed in the manifest."""
+    """A command's --out directory: made at the first write, each file UTF-8 and listed in the manifest.
+
+    The first write first removes what an earlier run's manifest.json there lists, and that
+    manifest, so the directory never keeps a file the new manifest does not list.
+    """
 
     def __init__(self, path: str):
         self.dir = Path(path)
@@ -103,9 +110,25 @@ class _Out:
 
     def write(self, name: str, text: str) -> None:
         if not self.names:
+            self._remove_previous()
             self.dir.mkdir(parents=True, exist_ok=True)
         (self.dir / name).write_text(text, encoding="utf-8")
         self.names.append(name)
+
+    def _remove_previous(self) -> None:
+        manifest = self.dir / "manifest.json"
+        try:
+            listed = json.loads(manifest.read_text(encoding="utf-8"))["artifacts"]
+        except FileNotFoundError:
+            return
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{manifest} is not a dynact manifest ({exc!r}); move it away first") from None
+        # plain file names only: a manifest is input, and a path in it could point anywhere
+        plain = isinstance(listed, list) and all(isinstance(n, str) and n == Path(n).name for n in listed)
+        if not plain or {"", ".."} & set(listed):
+            raise ValueError(f"{manifest} lists artifacts outside {self.dir}; move it away first")
+        for name in [*listed, "manifest.json"]:
+            (self.dir / name).unlink(missing_ok=True)
 
     def write_manifest(self, command: str, config: dict, seed: int) -> None:
         manifest = {
@@ -126,21 +149,16 @@ class _Out:
 
 
 def _frame_panel(scenario: OutlierScenario, s: int) -> Panel:
-    frame = scenario.frames[s]
+    x, y = scenario.x[s], scenario.y[s]
     o = scenario.outlier_index
-    mask = np.ones(frame.x.size, dtype=bool)
+    mask = np.ones(x.size, dtype=bool)
     mask[o] = False
     panel = Panel(title=f"S = {s}", xlabel="x", ylabel="y")
     panel.series.append(
-        Scatter(
-            xs=tuple(frame.x[mask].tolist()), ys=tuple(frame.y[mask].tolist()),
-            filled=False, color="#555555",
-        )
+        Scatter(xs=tuple(x[mask].tolist()), ys=tuple(y[mask].tolist()), filled=False, color="#555555")
     )
     if s >= 1:
-        panel.series.append(
-            Scatter(xs=(frame.x.item(o),), ys=(frame.y.item(o),), filled=True, color="#d62728")
-        )
+        panel.series.append(Scatter(xs=(x.item(o),), ys=(y.item(o),), filled=True, color="#d62728"))
     return panel
 
 
@@ -197,9 +215,10 @@ def _fit_files(out: _Out, points, channels: int, kinds: list[str]) -> list[FitRe
 
 def cmd_verify(args) -> int:
     report = run_all_checks(args.seed, trials=args.trials)
-    Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
+    text = report.to_json()
+    Path(args.out).write_text(text + "\n", encoding="utf-8")
     if args.json:
-        print(report.to_json())
+        print(text)
     else:
         for c in report.checks:
             status = "PASS" if c.passed else "FAIL"

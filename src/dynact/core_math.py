@@ -44,11 +44,15 @@ def _check_index(i, c: int):
     return idx
 
 
+def _row_mean(arr: np.ndarray, keepdims: bool = True) -> np.ndarray:
+    """Means over the last axis with np.mean's bits (row sum, then / C), without its Python overhead."""
+    return np.add.reduce(arr, axis=-1, keepdims=keepdims) / arr.shape[-1]
+
+
 def _centered(arr: np.ndarray, keepdims: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Row deviations x - mean and population variances; refuses a (near-)constant row."""
-    # each mean has np.mean's bits (row sum, then / C) without its Python overhead
-    dev = arr - np.add.reduce(arr, axis=-1, keepdims=True) / arr.shape[-1]
-    var = np.add.reduce(dev**2, axis=-1, keepdims=keepdims) / arr.shape[-1]
+    dev = arr - _row_mean(arr)
+    var = _row_mean(dev**2, keepdims)
     if (var <= VAR_EPSILON).any():
         raise DegenerateVariance(
             f"variance {np.min(var):.3g} is at or below the degeneracy threshold {VAR_EPSILON:.0e}"

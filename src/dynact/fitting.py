@@ -1,9 +1,8 @@
 """Scalar least-squares fitting of alpha (DyT) and beta (DyISRU).
 
-Both families have one positive parameter, so the fit is a bracketed 1-D
-minimization of the sum of squared residuals, run in log-parameter space to
-enforce positivity. The bracket is found by geometric expansion from a
-data-driven initial guess and refined by golden-section search.
+Each family's one positive parameter theta is fitted as t = log theta. The sum of squared
+residuals SSE(t) is bracketed by geometric expansion from a data-driven guess, and Brent's
+zeroin (Brent 1973, ch. 4) finds the root of dSSE/dt in it to 2 eps |t| + eps / 2.
 """
 
 from __future__ import annotations
@@ -17,11 +16,6 @@ import numpy as np
 # Parameter search domains (log-space bounds).
 ALPHA_DOMAIN = (1e-12, 1e12)
 BETA_DOMAIN = (1e-9, 1e12)
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-GOLDEN_TOL = 1e-12
-GOLDEN_MAX_ITER = 200
 
 # First bracket half-width in log-parameter space, and its growth factor per expansion step.
 _BRACKET_STEP = 0.5
@@ -48,8 +42,7 @@ class FitDataset:
     n_original: int | None = None
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=np.float64)
-        y = np.array(self.y, dtype=np.float64)
+        x, y = np.array(self.x, dtype=np.float64), np.array(self.y, dtype=np.float64)
         if x.ndim != 1 or x.shape != y.shape:
             raise ValueError(f"x and y must be 1-D of equal length, got shapes {x.shape} and {y.shape}")
         if self.channels < 2:
@@ -75,7 +68,11 @@ class FitDataset:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameter with residual diagnostics over the unmirrored points."""
+    """Fitted parameter with residual diagnostics over the unmirrored points.
+
+    ``evaluations`` counts SSE and gradient calls, ``bracket_width`` is zeroin's final
+    |c - b| in log theta, and zeroin returns only on convergence. Neither is in ``to_dict``.
+    """
 
     function_kind: str
     parameter: float
@@ -85,15 +82,11 @@ class FitResult:
     n_points: int
     bracket: tuple[float, float, float]
     bracket_sse: tuple[float, float, float]
+    evaluations: int
+    bracket_width: float
 
     def to_dict(self) -> dict:
-        return {
-            "function_kind": self.function_kind,
-            "parameter": self.parameter,
-            "sse": self.sse,
-            "mae": self.mae,
-            "n_points": self.n_points,
-        }
+        return {k: getattr(self, k) for k in ("function_kind", "parameter", "sse", "mae", "n_points")}
 
 
 def mirror_augment(points: Iterable[tuple[float, float]], channels: int) -> FitDataset:
@@ -101,12 +94,7 @@ def mirror_augment(points: Iterable[tuple[float, float]], channels: int) -> FitD
     pts = list(points)
     x, y = np.array(pts, dtype=np.float64).reshape(len(pts), 2).T
     mirror = (x != 0.0) | (y != 0.0)
-    return FitDataset(
-        np.concatenate([x, -x[mirror]]),
-        np.concatenate([y, -y[mirror]]),
-        channels,
-        n_original=len(pts),
-    )
+    return FitDataset(np.concatenate([x, -x[mirror]]), np.concatenate([y, -y[mirror]]), channels, len(pts))
 
 
 def _expand_bracket(
@@ -138,55 +126,63 @@ def _expand_bracket(
     return (ta, tb, tc), (fa, fb, fc)
 
 
-def _golden_section(f: Callable[[float], float], a: float, b: float) -> float:
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_MAX_ITER):
-        if abs(b - a) <= GOLDEN_TOL:
-            break
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
+def _zeroin(g: Callable[[float], float], ta: float, tb: float, tc: float) -> tuple[float, float]:
+    """Brent's zeroin from tb and the end of (ta, tc) across which g changes sign: the root and final |c - b|.
+    g must be negative left of the root and positive right of it, or BracketFailure is raised."""
+    b, fb = tb, g(tb)
+    a, fa = (ta, g(ta)) if fb > 0.0 else (tc, g(tc))
+    if not (fa < 0.0 < fb if a < b else fb < 0.0 < fa):
+        raise BracketFailure(f"gradient does not change sign across the bracket ({fa!r}, {fb!r})")
+    c, fc, d, e = a, fa, b - a, b - a
+    while True:
+        if abs(fc) < abs(fb):  # b is the best estimate, [b, c] holds the sign change
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol, m = math.ulp(1.0) * (2.0 * abs(b) + 0.5), 0.5 * (c - b)  # ulp(1.0) is eps
+        if abs(m) <= tol or fb == 0.0:
+            return b, abs(c - b)
+        step = None  # bisection, unless interpolation lands well inside [b, c]
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), (-q if p > 0.0 else q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                step = p / q
+        e, d = (m, m) if step is None else (d, step)
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = g(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc, d, e = a, fa, b - a, b - a
 
 
-def _fit_scalar(
-    kind: str,
-    data: FitDataset,
-    model: Callable[[np.ndarray, float], np.ndarray],
-    theta0: float,
-    domain: tuple[float, float],
-) -> FitResult:
+def _fit_scalar(kind: str, data: FitDataset, model: Callable, theta0: float, domain: tuple) -> FitResult:
+    """Least-squares theta of `model(x, theta)`; `model(x, theta, True)` adds d/dlog(theta) of the values."""
     if len(data.x) < 2:
         raise ValueError("fit needs at least 2 points")
-    xs, ys = data.x, data.y
+    xs, ys, calls = data.x, data.y, []
 
-    def f(t: float) -> float:
+    def objective(t: float) -> float:  # SSE
+        calls.append(t)
         r = ys - model(xs, math.exp(t))
         return float(r @ r)
 
-    lo, hi = math.log(domain[0]), math.log(domain[1])
-    (ta, tb, tc), bracket_sse = _expand_bracket(f, math.log(theta0), lo, hi)
-    theta = math.exp(_golden_section(f, ta, tc))
+    def gradient(t: float) -> float:  # dSSE/dt
+        calls.append(t)
+        m, dm = model(xs, math.exp(t), True)
+        return -2.0 * float((ys - m) @ dm)
 
-    n = data.n_original
+    (ta, tb, tc), bracket_sse = _expand_bracket(objective, math.log(theta0), *map(math.log, domain))
+    t, width = _zeroin(gradient, ta, tb, tc)
+    theta, n = math.exp(t), data.n_original
     res = ys[:n] - model(xs[:n], theta)
-    return FitResult(
-        function_kind=kind,
-        parameter=theta,
-        sse=float(res @ res),
-        mae=float(np.mean(np.abs(res))),
-        residuals=tuple(res.tolist()),
-        n_points=n,
-        bracket=(math.exp(ta), math.exp(tb), math.exp(tc)),
-        bracket_sse=bracket_sse,
-    )
+    bracket = (math.exp(ta), math.exp(tb), math.exp(tc))
+    sse, mae = float(res @ res), float(np.mean(np.abs(res)))
+    return FitResult(kind, theta, sse, mae, tuple(res.tolist()), n, bracket, bracket_sse, len(calls), width)
 
 
 def fit_dyt(data: FitDataset) -> FitResult:
@@ -195,21 +191,25 @@ def fit_dyt(data: FitDataset) -> FitResult:
     xmax = float(np.max(np.abs(data.x)))
     if xmax == 0.0:
         raise BracketFailure("all x are zero; alpha is unidentifiable")
-    theta0 = 1.0 / xmax
 
-    def model(x, alpha):
-        return root * np.tanh(alpha * x)
+    def model(x, alpha, slope=False):
+        z = alpha * x
+        if slope:  # sqrt(C-1) z sech(z)^2 keeps its sign where tanh rounds to +-1 and C-1 - y^2 is noise
+            e = np.exp(-2.0 * np.abs(z))
+            return root * np.tanh(z), root * z * (4.0 * e / (1.0 + e) ** 2)
+        return root * np.tanh(z)
 
-    return _fit_scalar("dyt", data, model, theta0, ALPHA_DOMAIN)
+    return _fit_scalar("dyt", data, model, 1.0 / xmax, ALPHA_DOMAIN)
 
 
 def fit_dyisru(data: FitDataset) -> FitResult:
     """Fit beta in y = sqrt(C-1) * x / sqrt(beta + x^2) by least squares on log beta."""
     root = math.sqrt(data.channels - 1)
-    theta0 = float(np.median(data.x * data.x))
-    theta0 = min(max(theta0, BETA_DOMAIN[0]), BETA_DOMAIN[1])
+    theta0 = min(max(float(np.median(data.x * data.x)), BETA_DOMAIN[0]), BETA_DOMAIN[1])
 
-    def model(x, beta):
-        return root * x / np.sqrt(beta + x * x)
+    def model(x, beta, slope=False):
+        d = beta + x * x
+        y = root * x / np.sqrt(d)
+        return (y, -beta * y / (2.0 * d)) if slope else y
 
     return _fit_scalar("dyisru", data, model, theta0, BETA_DOMAIN)

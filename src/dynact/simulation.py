@@ -1,8 +1,9 @@
 """Deterministic stepwise outlier simulation.
 
 A Gaussian channel vector is sampled once, then its largest entry is pushed
-up in fixed steps; each frame is layer-normalized. The modified channel is
-the labeled outlier and supplies the (x, y) points the activation fits use.
+up in fixed steps; each frame is layer-normalized, all frames in one call. The
+modified channel is the labeled outlier and supplies the (x, y) points the
+activation fits use.
 """
 
 from __future__ import annotations
@@ -48,17 +49,13 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class Frame:
-    s: int
-    x: np.ndarray
-    y: np.ndarray
-
-
-@dataclass(frozen=True)
 class OutlierScenario:
+    """The base sample, the outlier channel, and (s_max + 1, C) matrices whose row s is frame s."""
+
     base_sample: np.ndarray
     outlier_index: int
-    frames: tuple[Frame, ...]
+    x: np.ndarray
+    y: np.ndarray
 
 
 def sample_base(config: SimulationConfig) -> np.ndarray:
@@ -76,22 +73,15 @@ def run_scenario(config: SimulationConfig) -> OutlierScenario:
     """
     base = sample_base(config)
     o = int(np.argmax(base))
-    frames = []
-    for s in range(config.s_max + 1):
-        x = base.copy()
-        x[o] += config.step * s
-        frames.append(Frame(s=s, x=x, y=layer_norm(x)))
-    return OutlierScenario(base_sample=base, outlier_index=o, frames=tuple(frames))
+    x = np.tile(base, (config.s_max + 1, 1))
+    x[:, o] += config.step * np.arange(config.s_max + 1)
+    return OutlierScenario(base_sample=base, outlier_index=o, x=x, y=layer_norm(x))
 
 
 def outlier_points(scenario: OutlierScenario) -> list[tuple[float, float]]:
     """(x_o, y_o) of every modified frame s = 1..s_max, one point per frame."""
     o = scenario.outlier_index
-    pts = [
-        (float(f.x[o]), float(f.y[o]))
-        for f in scenario.frames
-        if f.s >= 1
-    ]
+    pts = list(zip(scenario.x[1:, o].tolist(), scenario.y[1:, o].tolist()))
     if not pts:
         raise EmptyOutliers("scenario has s_max = 0; no outlier frames")
     return pts
@@ -107,13 +97,13 @@ def scenario_to_csv(scenario: OutlierScenario) -> str:
     base_x = list(map(repr, base.tolist()))
     o = scenario.outlier_index
     blocks = [",".join(CSV_HEADER)]
-    for frame in scenario.frames:
+    # bits, not values, so that -0.0 against 0.0 is formatted again too
+    changed = scenario.x.view(np.int64) != base.view(np.int64)
+    for s, x in enumerate(scenario.x):
         xs = base_x.copy()
-        # bits, not values, so that -0.0 against 0.0 is formatted again too
-        for k in np.flatnonzero(frame.x.view(np.int64) != base.view(np.int64)).tolist():
-            xs[k] = repr(frame.x.item(k))
-        y = frame.y.tolist()
-        s = frame.s
+        for k in np.flatnonzero(changed[s]).tolist():
+            xs[k] = repr(x.item(k))
+        y = scenario.y[s].tolist()
         rows = [f"{s},{k},{xk},{yk!r},0" for k, (xk, yk) in enumerate(zip(xs, y))]
         if s >= 1:
             rows[o] = f"{s},{o},{xs[o]},{y[o]!r},1"

@@ -24,7 +24,7 @@ from dynact.activations import (
     isru,
     scaled_dyt,
 )
-from dynact.core_math import layer_norm, ln_derivative_analytic
+from dynact.core_math import _row_mean, layer_norm, ln_derivative_analytic
 from dynact.rng import CounterRng, _box_muller
 
 FD_STEP = 1e-5
@@ -113,7 +113,7 @@ def _draw_vectors(rng: CounterRng, trials: int, c: int | None = None):
         flat = np.repeat(sigma, c_sorted) * _box_muller(normal_words)
         c_set, counts = np.unique(c_sorted, return_counts=True)
         mats = [m.reshape(-1, k) for m, k in zip(np.split(flat, np.cumsum(c_set * counts)[:-1]), c_set)]
-        var = [((x - x.mean(axis=-1, keepdims=True)) ** 2).mean(axis=-1) for x in mats]
+        var = [_row_mean((x - _row_mean(x)) ** 2, keepdims=False) for x in mats]
         ok = np.concatenate(var) >= _REDRAW_VAR
         if not ok.all():
             n = int(order[~ok].min())
@@ -229,7 +229,7 @@ def check_theorem4(seed: int, trials: int = 500) -> CheckResult:
         c = x.shape[-1]
         y = layer_norm(x)
         beta = np.maximum(beta_exact(x, np.arange(c)), BETA_MIN)
-        d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=x.mean(axis=-1, keepdims=True)))
+        d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=_row_mean(x)))
         abs_err = np.abs(d - y)
         abs_errs.append(abs_err.max(initial=0.0))
         rel_errs.append((abs_err / np.maximum(np.abs(y), _TINY)).max(initial=0.0))

@@ -37,9 +37,9 @@ FIGURES_SEED0_DIGESTS = {
     "fig1.svg": "3d1af42d6dab876f94a3f20083917a9cbb641bbecbdd26fd026fc3d827f061ee",
     "fig1_curves.csv": "38cfc5c795648a295fb4d2d8c2229f7541d689b62690a59b52a92ef24d57676d",
     "fig3.svg": "0ca46cee9da9c3765f4cf379a6888c1ce8da36e3268497318611ce9b04c14f37",
-    "fig3_residuals.csv": "446afce45b87c4e8357adae40dd52d90caeeb9b96aeb17174a11617498df3708",
-    "fit_dyisru.json": "01e4a07713b9dad86271617b094e90d7b75f4b37a0a395ca1fc653b81f013b81",
-    "fit_dyt.json": "2df1ba27d0e3bf4e4d70b72a2f70292ba595e0bad142ad1d40d16dfd9c22e565",
+    "fig3_residuals.csv": "74f2748dfaa826259d4e7a1d6eefdc8da48496c74c66c50cffdf8c4f9db68037",
+    "fit_dyisru.json": "3d9adea6f581f06a52ba8463934f19c5083e7a414131b70244453f1ad7d78944",
+    "fit_dyt.json": "68afed4235ee51f35d51c76520ef26aef75390790f5a392bf0d2e6e2403fa3e0",
     "frame_s0.svg": "2699cd81e1ebee7f36f40ada2d91547ee37fa617702bf11ddedc68fe8131b31a",
     "frame_s1.svg": "725ac73f4459fd1a6d81a9cc55fab689d10384b6c99303b732baf7eec91c39f6",
     "frame_s2.svg": "4186b8b43a84989f51f653403de3a29ce8a5bba4bbafbb8b632d1c18531a1e16",
@@ -61,11 +61,11 @@ SIMULATE_C1024_SEED3_DIGESTS = {
 # because it holds the input path
 FIT_SEED0_DIGESTS = {
     "dyt": {
-        "fit_dyt.json": "2df1ba27d0e3bf4e4d70b72a2f70292ba595e0bad142ad1d40d16dfd9c22e565",
+        "fit_dyt.json": "68afed4235ee51f35d51c76520ef26aef75390790f5a392bf0d2e6e2403fa3e0",
         "fit_dyt.svg": "f79711d6c2099fbd0ec2736df9f1fccd5bb411474e9a27028264d171ba807851",
     },
     "dyisru": {
-        "fit_dyisru.json": "01e4a07713b9dad86271617b094e90d7b75f4b37a0a395ca1fc653b81f013b81",
+        "fit_dyisru.json": "3d9adea6f581f06a52ba8463934f19c5083e7a414131b70244453f1ad7d78944",
         "fit_dyisru.svg": "a62180684827308e12509d574603ef721bacd6dbecbca3151df9ab99190255f7",
     },
 }

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dynact.cli import main
 from dynact.fitting import fit_dyisru, fit_dyt, mirror_augment
 from dynact.simulation import SimulationConfig, outlier_points, run_scenario
@@ -54,6 +56,27 @@ class TestVerify:
 
     def test_no_command(self):
         assert run() == 2
+
+    def test_repeated_main_matches_fresh_processes(self, tmp_path, capsys):
+        # main reuses one parser per process; a call must not see an earlier call's state
+        src = Path(__file__).resolve().parents[1] / "src"
+        runs = []
+        for seed in (3, 4):
+            out = tmp_path / f"fresh{seed}.json"
+            argv = ["verify", "--seed", str(seed), "--trials", "2", "--json", "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "dynact.cli", *argv],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+            )
+            runs.append((argv, out, proc.returncode, proc.stdout, out.read_bytes()))
+        for _ in range(2):
+            for argv, out, code, stdout, report in runs:
+                assert run(*argv[:-1], tmp_path / "again.json") == code
+                assert capsys.readouterr().out == stdout
+                assert (tmp_path / "again.json").read_bytes() == report
+                assert run("verify", "--bogus") == 2
 
     def test_python_dash_m(self, tmp_path):
         out = tmp_path / "r.json"
@@ -118,6 +141,37 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["frames"] == [3, 0]
         assert manifest["artifacts"] == ["frame_s0.svg", "frame_s3.svg", "scenario.csv"]
+
+    def test_rerun_removes_what_the_previous_manifest_lists(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run("simulate", "--seed", 0, "--s-max", 2, "--out", out) == 0
+        (out / "notes.txt").write_text("kept")  # not listed, so not ours to remove
+        assert run("simulate", "--seed", 0, "--s-max", 1, "--frames", "1", "--out", out) == 0
+        assert listing(out) == ["frame_s1.svg", "manifest.json", "notes.txt", "scenario.csv"]
+        # a fit into the same directory replaces the simulation's files with its own
+        assert run("fit", "--input", out / "scenario.csv", "--kind", "dyt", "--out", out) == 0
+        assert listing(out) == ["fit_dyt.json", "fit_dyt.svg", "manifest.json", "notes.txt"]
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ('{"artifacts": ["../victim.txt"]}', "lists artifacts outside"),
+            ('{"artifacts": [".."]}', "lists artifacts outside"),
+            ('{"artifacts": "scenario.csv"}', "lists artifacts outside"),
+            ('{"command": "simulate"}', "is not a dynact manifest"),
+            ("not json", "is not a dynact manifest"),
+        ],
+        ids=["parent_path", "dot_dot", "not_a_list", "no_artifacts", "not_json"],
+    )
+    def test_foreign_manifest_is_usage_error(self, tmp_path, capsys, manifest, message):
+        out = tmp_path / "sim"
+        out.mkdir()
+        (tmp_path / "victim.txt").write_text("x")
+        (out / "manifest.json").write_text(manifest)
+        assert run("simulate", "--seed", 0, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert listing(out) == ["manifest.json"]
+        assert (tmp_path / "victim.txt").read_text() == "x"
 
     def test_bad_channels(self, tmp_path):
         assert run("simulate", "--channels", 1, "--out", tmp_path / "x") == 2

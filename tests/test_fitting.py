@@ -1,10 +1,13 @@
 import hashlib
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from dynact.activations import DyISRUParams, DyTParams, beta_exact, dyisru, scaled_dyt
+import dynact.fitting as fitting
 from dynact.fitting import (
     BracketFailure,
     FitDataset,
@@ -133,13 +136,114 @@ def test_single_outlier_matches_channel_exact_beta():
     # one (mirrored) target: the fit interpolates it, and the fitted beta
     # tracks the channel-exact value of the extreme outlier
     scenario = run_scenario(SimulationConfig(seed=0))
-    frame = scenario.frames[9]
     o = scenario.outlier_index
-    data = mirror_augment([(float(frame.x[o]), float(frame.y[o]))], channels=100)
+    data = mirror_augment([(float(scenario.x[9, o]), float(scenario.y[9, o]))], channels=100)
     result = fit_dyisru(data)
     assert result.sse <= 1e-18
-    exact = beta_exact(frame.x, o)
+    exact = beta_exact(scenario.x[9], o)
     assert result.parameter == pytest.approx(exact, rel=0.25)
+
+
+def _decimal_optimum(kind, data, theta):
+    """The root of dSSE/dtheta next to theta, by the secant method in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c1 = Decimal(data.channels - 1)
+        root = c1.sqrt()
+        points = [(Decimal(x), Decimal(y)) for x, y in zip(data.x.tolist(), data.y.tolist())]
+
+        def grad(p):  # dSSE/dtheta divided by -2
+            total = Decimal(0)
+            for x, y in points:
+                if kind == "dyt":
+                    e = (-2 * p * x).exp()
+                    m = root * (1 - e) / (1 + e)
+                    dm = x * (c1 - m * m) / root
+                else:
+                    d = p + x * x
+                    m = root * x / d.sqrt()
+                    dm = -m / (2 * d)
+                total += (y - m) * dm
+            return total
+
+        p0, p1 = Decimal(theta), Decimal(theta) * (1 + Decimal("1e-9"))
+        g0, g1 = grad(p0), grad(p1)
+        for _ in range(50):
+            if g1 == g0 or abs(p1 - p0) <= abs(p1) * Decimal("1e-45"):
+                break
+            p0, p1, g0 = p1, p1 - g1 * (p1 - p0) / (g1 - g0), g1
+            g1 = grad(p1)
+        return p1
+
+
+class TestPrecision:
+    @pytest.mark.parametrize(
+        "kind, seed, channels",
+        [(k, s, 100) for k in ("dyt", "dyisru") for s in range(4)]
+        # at C = 3 the DyT targets sit near sqrt(2), where tanh saturates inside the bracket;
+        # on seed 8 the gradient's far end underflows to zero
+        + [("dyt", s, 3) for s in (0, 1, 2, 3, 8)],
+    )
+    def test_fit_matches_50_digit_optimum(self, kind, seed, channels):
+        scenario = run_scenario(SimulationConfig(seed=seed, channels=channels))
+        data = mirror_augment(outlier_points(scenario), channels=channels)
+        theta = (fit_dyt if kind == "dyt" else fit_dyisru)(data).parameter
+        best = _decimal_optimum(kind, data, theta)
+        assert abs(Decimal(theta) - best) <= Decimal("1e-13") * best
+
+    @pytest.mark.parametrize(
+        "channels, x, y",
+        [(15, 645.8502834533916, 3.7408829529609866), (167, 2.351236189113298, 12.882214656719498),
+         (104, 3190.21173728503, 10.147542203480263)],
+    )
+    def test_dyt_gradient_keeps_its_sign_where_tanh_saturates(self, channels, x, y):
+        # the bracket reaches far into saturation, where the ODE form C-1 - y^2 of the
+        # derivative is rounding noise and gave the gradient the wrong sign
+        alpha = math.atanh(y / math.sqrt(channels - 1)) / x  # fits one point exactly
+        assert fit_dyt(mirror_augment([(x, y)], channels)).parameter == pytest.approx(alpha, rel=1e-12)
+
+    def test_evaluations_and_final_bracket(self, monkeypatch):
+        # evaluations counts every SSE and gradient call; zeroin needs at most 13 gradients
+        sse_calls, grad_calls = [], []
+
+        def expand(f, *args):
+            return expand_bracket(lambda t: sse_calls.append(t) or f(t), *args)
+
+        def zeroin(g, *args):
+            return fitting_zeroin(lambda t: grad_calls.append(t) or g(t), *args)
+
+        expand_bracket, fitting_zeroin = fitting._expand_bracket, fitting._zeroin
+        monkeypatch.setattr(fitting, "_expand_bracket", expand)
+        monkeypatch.setattr(fitting, "_zeroin", zeroin)
+        for seed in range(10):
+            for c in (100, 1024, 4096):
+                data = mirror_augment(outlier_points(run_scenario(SimulationConfig(seed=seed, channels=c))), c)
+                for fit in (fit_dyt, fit_dyisru):
+                    sse_calls.clear()
+                    grad_calls.clear()
+                    res = fit(data)
+                    assert res.evaluations == len(sse_calls) + len(grad_calls)
+                    assert len(grad_calls) <= 13
+                    t = math.log(res.parameter)
+                    assert 0.0 <= res.bracket_width <= 2.0 * sys.float_info.epsilon * (2.0 * abs(t) + 0.5)
+
+
+class TestZeroin:
+    def test_finds_a_root_from_either_half(self):
+        # t * t - 2 is zero at no float, so zeroin stops on a bracket within its tolerance
+        for tb in (0.5, 1.5):
+            t, width = fitting._zeroin(lambda t: t * t - 2.0, 0.0, tb, 3.0)
+            assert t == pytest.approx(math.sqrt(2.0), rel=2 * sys.float_info.epsilon)
+            assert 0.0 < width <= sys.float_info.epsilon * (2.0 * t + 0.5)
+
+    @pytest.mark.parametrize(
+        "g",
+        [lambda t: t * t + 1.0, lambda t: -1.0, lambda t: 0.5 - t, lambda t: -t],
+        ids=["positive", "negative", "maximum", "maximum_at_middle"],
+    )
+    def test_gradient_without_sign_change_raises(self, g):
+        with pytest.raises(BracketFailure, match="gradient does not change sign"):
+            fitting._zeroin(g, -1.0, 0.0, 1.0)
 
 
 class TestBracketFailure:
@@ -229,7 +333,7 @@ class TestFitDataset:
 # both fits on SimulationConfig(seed=s, channels=c), s = 0..19, c in {3, 100,
 # 1024}; a BracketFailure records a fixed token. Any change to the fitted
 # numbers, the bracket search or the residuals moves it.
-GOLDEN_FIT_SHA256 = "06fec340da466376589821582398030e4a780bd928484db68b25d789814aa0a5"
+GOLDEN_FIT_SHA256 = "63fde76087dd8aa1275ad27af9932f6cfc782b27909c9b1e934a10d5d5649af6"
 
 
 def test_golden_fit_digest():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dynact.core_math import layer_norm
 from dynact.rng import CounterRng
 from dynact.simulation import (
     EmptyOutliers,
-    Frame,
     OutlierScenario,
     SimulationConfig,
     outlier_points,
@@ -64,50 +64,62 @@ class TestSampleBase:
 class TestRunScenario:
     def test_single_baseline_frame(self):
         scenario = run_scenario(SimulationConfig(s_max=0, seed=0))
-        assert len(scenario.frames) == 1
-        assert scenario.frames[0].s == 0
-        np.testing.assert_array_equal(scenario.frames[0].x, scenario.base_sample)
+        assert scenario.x.shape == scenario.y.shape == (1, 100)
+        np.testing.assert_array_equal(scenario.x[0], scenario.base_sample)
 
     def test_default_frames(self):
         scenario = run_scenario(SimulationConfig(seed=0))
-        assert len(scenario.frames) == 10
+        assert scenario.x.shape == scenario.y.shape == (10, 100)
         o = scenario.outlier_index
         assert o == int(np.argmax(scenario.base_sample))
-        last = scenario.frames[9]
-        assert last.x[o] == scenario.base_sample[o] + 45.0
+        assert scenario.x[9, o] == scenario.base_sample[o] + 45.0
         mask = np.arange(100) != o
-        for frame in scenario.frames:
-            np.testing.assert_array_equal(frame.x[mask], scenario.base_sample[mask])
+        for x in scenario.x:
+            np.testing.assert_array_equal(x[mask], scenario.base_sample[mask])
+
+    @pytest.mark.parametrize("config", [
+        SimulationConfig(seed=0),
+        SimulationConfig(channels=2, s_max=3, seed=5),
+        SimulationConfig(channels=1024, s_max=16, seed=501),
+        SimulationConfig(mu=-3.0, step=0.5, seed=11),
+    ])
+    def test_rows_match_per_frame_layer_norm(self, config):
+        # one (s_max + 1, C) call gives every frame the bits of its own 1-D call
+        scenario = run_scenario(config)
+        for s, (x, y) in enumerate(zip(scenario.x, scenario.y)):
+            want = scenario.base_sample.copy()
+            want[scenario.outlier_index] += config.step * s
+            assert x.tobytes() == want.tobytes()
+            assert y.tobytes() == layer_norm(want).tobytes()
 
     def test_deterministic(self):
         a = run_scenario(SimulationConfig(seed=77))
         b = run_scenario(SimulationConfig(seed=77))
         assert a.outlier_index == b.outlier_index
-        for fa, fb in zip(a.frames, b.frames):
-            np.testing.assert_array_equal(fa.x, fb.x)
-            np.testing.assert_array_equal(fa.y, fb.y)
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.y, b.y)
 
     def test_per_frame_normalization_invariants(self):
         scenario = run_scenario(SimulationConfig(seed=4))
-        for frame in scenario.frames:
-            assert abs(frame.y.mean()) <= 1e-12
-            assert np.mean((frame.y - frame.y.mean()) ** 2) == pytest.approx(1.0, rel=1e-9)
+        for y in scenario.y:
+            assert abs(y.mean()) <= 1e-12
+            assert np.mean((y - y.mean()) ** 2) == pytest.approx(1.0, rel=1e-9)
 
     def test_outlier_squashing_is_monotone(self):
         scenario = run_scenario(SimulationConfig(seed=4))
         o = scenario.outlier_index
-        ratios = [f.y[o] / f.x[o] for f in scenario.frames]
+        ratios = scenario.y[:, o] / scenario.x[:, o]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         bound = math.sqrt(99.0)
-        assert all(f.y[o] < bound for f in scenario.frames)
+        assert (scenario.y[:, o] < bound).all()
 
     def test_slope_decreases_with_outlier_size(self):
         scenario = run_scenario(SimulationConfig(seed=4))
         o = scenario.outlier_index
         mask = np.arange(100) != o
         slopes = []
-        for frame in scenario.frames:
-            slope, _ = np.polyfit(frame.x[mask], frame.y[mask], 1)
+        for x, y in zip(scenario.x, scenario.y):
+            slope, _ = np.polyfit(x[mask], y[mask], 1)
             slopes.append(slope)
         assert all(a > b for a, b in zip(slopes, slopes[1:]))
 
@@ -115,8 +127,8 @@ class TestRunScenario:
         scenario = run_scenario(SimulationConfig(seed=4))
         o = scenario.outlier_index
         mask = np.arange(100) != o
-        for frame in scenario.frames:
-            xk, yk = frame.x[mask], frame.y[mask]
+        for x, y in zip(scenario.x, scenario.y):
+            xk, yk = x[mask], y[mask]
             fitted = np.polyval(np.polyfit(xk, yk, 1), xk)
             ss_res = float(np.sum((yk - fitted) ** 2))
             ss_tot = float(np.sum((yk - yk.mean()) ** 2))
@@ -168,13 +180,12 @@ class TestCsv:
         # frames built by hand may differ from the base away from the outlier,
         # including by the sign of a zero
         base = np.array([1.0, 0.0, 3.5, -2.0])
-        xs = (base.copy(), np.array([1.0, -0.0, 8.5, -2.0]), np.array([0.5, 0.0, 13.5, np.nan]))
-        frames = tuple(Frame(s=s, x=x, y=x / 7.0) for s, x in enumerate(xs))
-        scenario = OutlierScenario(base_sample=base, outlier_index=2, frames=frames)
+        x = np.array([base, [1.0, -0.0, 8.5, -2.0], [0.5, 0.0, 13.5, np.nan]])
+        scenario = OutlierScenario(base_sample=base, outlier_index=2, x=x, y=x / 7.0)
         expected = ["s,channel,x,y,is_outlier"] + [
-            f"{f.s},{k},{float(f.x[k])!r},{float(f.y[k])!r},{int(k == 2 and f.s >= 1)}"
-            for f in frames
-            for k in range(f.x.size)
+            f"{s},{k},{float(x[s, k])!r},{float(x[s, k] / 7.0)!r},{int(k == 2 and s >= 1)}"
+            for s in range(3)
+            for k in range(4)
         ]
         assert scenario_to_csv(scenario) == "\n".join(expected) + "\n"
 
