@@ -101,11 +101,13 @@ class _Out:
     """A command's --out directory: made at the first write, each file UTF-8 and listed in the manifest.
 
     The first write first removes what an earlier run's manifest.json there lists, and that
-    manifest, so the directory never keeps a file the new manifest does not list.
+    manifest, so the directory keeps no stale artifact. The file at `keep`, the command's
+    input, is never removed, even when that manifest lists it.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, keep: str | None = None):
         self.dir = Path(path)
+        self.keep = None if keep is None else Path(keep).resolve()
         self.names: list[str] = []
 
     def write(self, name: str, text: str) -> None:
@@ -128,7 +130,9 @@ class _Out:
         if not plain or {"", ".."} & set(listed):
             raise ValueError(f"{manifest} lists artifacts outside {self.dir}; move it away first")
         for name in [*listed, "manifest.json"]:
-            (self.dir / name).unlink(missing_ok=True)
+            path = self.dir / name
+            if path.resolve() != self.keep:
+                path.unlink(missing_ok=True)
 
     def write_manifest(self, command: str, config: dict, seed: int) -> None:
         manifest = {
@@ -270,7 +274,7 @@ def cmd_fit(args) -> int:
     if channels is None:
         print("dynact fit: --channels is required for plain x,y input", file=sys.stderr)
         return EXIT_USAGE
-    out = _Out(args.out)
+    out = _Out(args.out, keep=args.input)
     [result] = _fit_files(out, points, channels, [args.kind])
     out.write(f"fit_{args.kind}.svg", _fit_figure(points, [result], channels))
     out.write_manifest("fit", {"input": str(args.input), "kind": args.kind, "channels": channels}, 0)

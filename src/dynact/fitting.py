@@ -42,7 +42,8 @@ class FitDataset:
     n_original: int | None = None
 
     def __post_init__(self):
-        x, y = np.array(self.x, dtype=np.float64), np.array(self.y, dtype=np.float64)
+        x = np.array(self.x, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64)
         if x.ndim != 1 or x.shape != y.shape:
             raise ValueError(f"x and y must be 1-D of equal length, got shapes {x.shape} and {y.shape}")
         if self.channels < 2:
@@ -86,7 +87,13 @@ class FitResult:
     bracket_width: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("function_kind", "parameter", "sse", "mae", "n_points")}
+        return {
+            "function_kind": self.function_kind,
+            "parameter": self.parameter,
+            "sse": self.sse,
+            "mae": self.mae,
+            "n_points": self.n_points,
+        }
 
 
 def mirror_augment(points: Iterable[tuple[float, float]], channels: int) -> FitDataset:
@@ -94,7 +101,12 @@ def mirror_augment(points: Iterable[tuple[float, float]], channels: int) -> FitD
     pts = list(points)
     x, y = np.array(pts, dtype=np.float64).reshape(len(pts), 2).T
     mirror = (x != 0.0) | (y != 0.0)
-    return FitDataset(np.concatenate([x, -x[mirror]]), np.concatenate([y, -y[mirror]]), channels, len(pts))
+    return FitDataset(
+        np.concatenate([x, -x[mirror]]),
+        np.concatenate([y, -y[mirror]]),
+        channels,
+        n_original=len(pts),
+    )
 
 
 def _expand_bracket(
@@ -128,9 +140,19 @@ def _expand_bracket(
 
 def _zeroin(g: Callable[[float], float], ta: float, tb: float, tc: float) -> tuple[float, float]:
     """Brent's zeroin from tb and the end of (ta, tc) across which g changes sign: the root and final |c - b|.
-    g must be negative left of the root and positive right of it, or BracketFailure is raised."""
+    g must be negative left of the root and positive right of it, or BracketFailure is raised. g(tb) == 0
+    returns tb. Where g at that end underflowed to +-0, [tb, end] is halved until g has a sign at both."""
     b, fb = tb, g(tb)
+    if fb == 0.0:
+        return b, 0.0
     a, fa = (ta, g(ta)) if fb > 0.0 else (tc, g(tc))
+    while fa == 0.0 and abs(a - b) > math.ulp(1.0) * (2.0 * abs(b) + 0.5):
+        t = 0.5 * (a + b)
+        ft = g(t)
+        if ft != 0.0 and (ft > 0.0) == (fb > 0.0):
+            b, fb = t, ft
+        else:
+            a, fa = t, ft
     if not (fa < 0.0 < fb if a < b else fb < 0.0 < fa):
         raise BracketFailure(f"gradient does not change sign across the bracket ({fa!r}, {fb!r})")
     c, fc, d, e = a, fa, b - a, b - a
@@ -160,29 +182,49 @@ def _zeroin(g: Callable[[float], float], ta: float, tb: float, tc: float) -> tup
             c, fc, d, e = a, fa, b - a, b - a
 
 
-def _fit_scalar(kind: str, data: FitDataset, model: Callable, theta0: float, domain: tuple) -> FitResult:
+def _fit_scalar(
+    kind: str,
+    data: FitDataset,
+    model: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]],
+    theta0: float,
+    domain: tuple[float, float],
+) -> FitResult:
     """Least-squares theta of `model(x, theta)`; `model(x, theta, True)` adds d/dlog(theta) of the values."""
     if len(data.x) < 2:
         raise ValueError("fit needs at least 2 points")
-    xs, ys, calls = data.x, data.y, []
+    xs, ys = data.x, data.y
+    calls = 0
 
     def objective(t: float) -> float:  # SSE
-        calls.append(t)
+        nonlocal calls
+        calls += 1
         r = ys - model(xs, math.exp(t))
         return float(r @ r)
 
     def gradient(t: float) -> float:  # dSSE/dt
-        calls.append(t)
+        nonlocal calls
+        calls += 1
         m, dm = model(xs, math.exp(t), True)
         return -2.0 * float((ys - m) @ dm)
 
     (ta, tb, tc), bracket_sse = _expand_bracket(objective, math.log(theta0), *map(math.log, domain))
     t, width = _zeroin(gradient, ta, tb, tc)
-    theta, n = math.exp(t), data.n_original
+    theta = math.exp(t)
+
+    n = data.n_original
     res = ys[:n] - model(xs[:n], theta)
-    bracket = (math.exp(ta), math.exp(tb), math.exp(tc))
-    sse, mae = float(res @ res), float(np.mean(np.abs(res)))
-    return FitResult(kind, theta, sse, mae, tuple(res.tolist()), n, bracket, bracket_sse, len(calls), width)
+    return FitResult(
+        function_kind=kind,
+        parameter=theta,
+        sse=float(res @ res),
+        mae=float(np.mean(np.abs(res))),
+        residuals=tuple(res.tolist()),
+        n_points=n,
+        bracket=(math.exp(ta), math.exp(tb), math.exp(tc)),
+        bracket_sse=bracket_sse,
+        evaluations=calls,
+        bracket_width=width,
+    )
 
 
 def fit_dyt(data: FitDataset) -> FitResult:
@@ -191,6 +233,7 @@ def fit_dyt(data: FitDataset) -> FitResult:
     xmax = float(np.max(np.abs(data.x)))
     if xmax == 0.0:
         raise BracketFailure("all x are zero; alpha is unidentifiable")
+    theta0 = 1.0 / xmax
 
     def model(x, alpha, slope=False):
         z = alpha * x
@@ -199,13 +242,14 @@ def fit_dyt(data: FitDataset) -> FitResult:
             return root * np.tanh(z), root * z * (4.0 * e / (1.0 + e) ** 2)
         return root * np.tanh(z)
 
-    return _fit_scalar("dyt", data, model, 1.0 / xmax, ALPHA_DOMAIN)
+    return _fit_scalar("dyt", data, model, theta0, ALPHA_DOMAIN)
 
 
 def fit_dyisru(data: FitDataset) -> FitResult:
     """Fit beta in y = sqrt(C-1) * x / sqrt(beta + x^2) by least squares on log beta."""
     root = math.sqrt(data.channels - 1)
-    theta0 = min(max(float(np.median(data.x * data.x)), BETA_DOMAIN[0]), BETA_DOMAIN[1])
+    theta0 = float(np.median(data.x * data.x))
+    theta0 = min(max(theta0, BETA_DOMAIN[0]), BETA_DOMAIN[1])
 
     def model(x, beta, slope=False):
         d = beta + x * x

@@ -148,9 +148,6 @@ class TestSimulate:
         (out / "notes.txt").write_text("kept")  # not listed, so not ours to remove
         assert run("simulate", "--seed", 0, "--s-max", 1, "--frames", "1", "--out", out) == 0
         assert listing(out) == ["frame_s1.svg", "manifest.json", "notes.txt", "scenario.csv"]
-        # a fit into the same directory replaces the simulation's files with its own
-        assert run("fit", "--input", out / "scenario.csv", "--kind", "dyt", "--out", out) == 0
-        assert listing(out) == ["fit_dyt.json", "fit_dyt.svg", "manifest.json", "notes.txt"]
 
     @pytest.mark.parametrize(
         "manifest, message",
@@ -200,6 +197,19 @@ class TestFit:
         assert doc["n_points"] == 9
         manifest = assert_manifest_lists_directory(out, "fit")
         assert manifest["artifacts"] == ["fit_dyisru.json", "fit_dyisru.svg"]
+
+    def test_fit_into_the_simulate_directory_keeps_its_input(self, tmp_path):
+        # simulate and fit share the default --out, so a fit may read from the directory it writes
+        out = tmp_path / "out"
+        assert run("simulate", "--seed", 0, "--out", out) == 0
+        scenario = (out / "scenario.csv").read_bytes()
+        assert run("fit", "--input", out / "scenario.csv", "--kind", "dyt", "--out", out) == 0
+        assert listing(out) == ["fit_dyt.json", "fit_dyt.svg", "manifest.json", "scenario.csv"]
+        # the kept input is the same path spelled another way, and a second fit replaces the first
+        relative = Path(os.path.relpath(out, Path.cwd())) / ".." / out.name / "scenario.csv"
+        assert run("fit", "--input", relative, "--kind", "dyisru", "--out", out) == 0
+        assert listing(out) == ["fit_dyisru.json", "fit_dyisru.svg", "manifest.json", "scenario.csv"]
+        assert (out / "scenario.csv").read_bytes() == scenario
 
     def test_json_prints_fit_result(self, tmp_path, capsys):
         sim = tmp_path / "sim"

@@ -202,6 +202,21 @@ class TestPrecision:
         alpha = math.atanh(y / math.sqrt(channels - 1)) / x  # fits one point exactly
         assert fit_dyt(mirror_augment([(x, y)], channels)).parameter == pytest.approx(alpha, rel=1e-12)
 
+    def test_dyt_gradient_that_underflows_at_the_far_end(self):
+        # at the bracket's far end every sech(z)^2 underflows, so the gradient there is +-0 and
+        # zeroin narrows that end until the gradient has a sign instead of raising
+        points = [(535.2463576496317, 1.4142135623617798), (140.7924664088654, 1.4142134880387054)]
+        data = mirror_augment(points, channels=3)
+        res = fit_dyt(data)
+        assert np.all(np.exp(-2.0 * res.bracket[2] * np.abs(data.x)) == 0.0)
+
+        def sse(alpha):
+            r = data.y - math.sqrt(2.0) * np.tanh(alpha * data.x)
+            return float(r @ r)
+
+        grid = np.exp(np.linspace(math.log(res.bracket[0]), math.log(res.bracket[2]), 1001))
+        assert sse(res.parameter) <= min(map(sse, grid))
+
     def test_evaluations_and_final_bracket(self, monkeypatch):
         # evaluations counts every SSE and gradient call; zeroin needs at most 13 gradients
         sse_calls, grad_calls = [], []
@@ -236,10 +251,24 @@ class TestZeroin:
             assert t == pytest.approx(math.sqrt(2.0), rel=2 * sys.float_info.epsilon)
             assert 0.0 < width <= sys.float_info.epsilon * (2.0 * t + 0.5)
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_at_the_middle_is_the_root(self, zero):
+        assert fitting._zeroin(lambda t: zero if t == 0.0 else t, -1.0, 0.0, 1.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("tb, root", [(0.0, 2.0), (4.0, 2.0), (0.0, 7.0)])
+    def test_far_end_underflow_moves_toward_the_middle(self, zero, tb, root):
+        # g is +-0 beyond |t| = 8 (as a DyT gradient is once every tanh saturates), the root on either side
+        def g(t):
+            return t - root if abs(t) < 8.0 else zero
+
+        t, _ = fitting._zeroin(g, -10.0, tb, 10.0)
+        assert t == pytest.approx(root, rel=4 * sys.float_info.epsilon)
+
     @pytest.mark.parametrize(
         "g",
-        [lambda t: t * t + 1.0, lambda t: -1.0, lambda t: 0.5 - t, lambda t: -t],
-        ids=["positive", "negative", "maximum", "maximum_at_middle"],
+        [lambda t: t * t + 1.0, lambda t: -1.0, lambda t: 0.5 - t, lambda t: 0.0 if t > 0.0 else t - 1.0],
+        ids=["positive", "negative", "maximum", "flat_far_end"],
     )
     def test_gradient_without_sign_change_raises(self, g):
         with pytest.raises(BracketFailure, match="gradient does not change sign"):
