@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import deque
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -92,25 +90,77 @@ def scenario_to_csv(scenario: OutlierScenario) -> str:
 
     A frame's x text is the base sample's, formatted once, except on the
     channels whose bits differ from the base sample (the stepped outlier).
+    The `<k>,` keys are formatted once too; a frame is one join of its pieces.
     """
     base = scenario.base_sample
-    base_x = list(map(repr, base.tolist()))
+    keys = [f"{k}," for k in range(base.size)]
+    base_x = [f"{v!r}," for v in base.tolist()]
     o = scenario.outlier_index
-    blocks = [",".join(CSV_HEADER)]
+    blocks = [",".join(CSV_HEADER) + "\n"]
     # bits, not values, so that -0.0 against 0.0 is formatted again too
     changed = scenario.x.view(np.int64) != base.view(np.int64)
     for s, x in enumerate(scenario.x):
         xs = base_x.copy()
         for k in np.flatnonzero(changed[s]).tolist():
-            xs[k] = repr(x.item(k))
-        y = scenario.y[s].tolist()
-        rows = [f"{s},{k},{xk},{yk!r},0" for k, (xk, yk) in enumerate(zip(xs, y))]
+            xs[k] = f"{x.item(k)!r},"
+        flags = [",0\n"] * len(keys)
         if s >= 1:
-            rows[o] = f"{s},{o},{xs[o]},{y[o]!r},1"
+            flags[o] = ",1\n"
+        ys = map(repr, scenario.y[s].tolist())
         # one string per frame keeps the peak near the size of the output
-        blocks.append("\n".join(rows))
-    blocks.append("")
-    return "\n".join(blocks)
+        blocks.append("".join(map("".join, zip(repeat(f"{s},"), keys, xs, ys, flags))))
+    return "".join(blocks)
+
+
+def _channel(text: str) -> int:
+    channel = int(text)
+    if channel < 0:
+        raise ValueError(f"channel must be >= 0, got {text!r}")
+    return channel
+
+
+def _flag(text: str) -> int:
+    flag = int(text)
+    if flag not in (0, 1):
+        raise ValueError(f"is_outlier must be 0 or 1, got {text!r}")
+    return flag
+
+
+# the converter of each column, and the index of y, whose texts rarely repeat
+_SCENARIO_COLUMNS = (int, _channel, float, float, _flag), 3
+_XY_COLUMNS = (float, float), 1
+
+
+def _reader_rows(text: str) -> list[list[str]]:
+    """csv.reader's rows of text; a csv.Error becomes a ValueError naming its row."""
+    rows = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"row {len(rows) + 1}: {exc}") from exc
+    return rows
+
+
+def _columns(rows: list, width: int, plain: bool) -> list[list[str]] | None:
+    """The `width` columns of rows, or None if some row has another width.
+
+    Plain rows are lines not yet cut at their commas.
+    """
+    if plain:
+        if any(line.count(",") != width - 1 for line in rows):
+            return None
+        flat = ",".join(rows).split(",") if rows else []
+    else:
+        if any(len(row) != width for row in rows):
+            return None
+        flat = list(chain.from_iterable(rows))
+    return [flat[k::width] for k in range(width)]
+
+
+def _convert_distinct(column: list[str], convert) -> list:
+    """convert of every text of column, each distinct text converted once."""
+    table = {text: convert(text) for text in set(column)}
+    return list(map(table.__getitem__, column))
 
 
 def _raise_first_bad_row(rows: list[list[str]], first: int, types: tuple) -> None:
@@ -129,38 +179,41 @@ def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | 
     """Read fit inputs from CSV.
 
     Accepts either a scenario CSV (header s,channel,x,y,is_outlier; rows with
-    is_outlier=1 are taken) or a plain x,y CSV. Returns (points, channels)
-    where channels is inferred from a scenario CSV and None otherwise.
-    Raises ValueError with the offending row number on malformed input.
+    is_outlier=1 are taken, and is_outlier must be 0 or 1) or a plain x,y CSV
+    with or without its header. Returns (points, channels) where channels is
+    inferred from a scenario CSV and None otherwise. Raises ValueError with
+    the offending row number on malformed input.
     """
     # utf-8-sig drops a byte-order mark, which would otherwise hide the header
     text = Path(path).read_text(encoding="utf-8-sig")
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    if not text:
         raise ValueError("empty CSV")
-    header = [h.strip().lower() for h in rows[0]]
-    if header == CSV_HEADER:
-        data = rows[1:]
-        try:
-            if not set(map(len, data)) <= {5}:
-                raise ValueError("bad row width")
-            deque(map(int, map(itemgetter(0), data)), maxlen=0)
-            channels = max(0, max(map(int, map(itemgetter(1), data)), default=-1) + 1)
-            # every x and y is converted to check it; only flagged rows keep theirs
-            for k in (2, 3):
-                deque(map(float, map(itemgetter(k), data)), maxlen=0)
-            flags = map(int, map(itemgetter(4), data))
-            points = [(float(row[2]), float(row[3])) for row in compress(data, flags)]
-        except ValueError:
-            # a whole-column conversion cannot say which row failed
-            _raise_first_bad_row(data, 2, (int, int, float, float, int))
-            raise
-        return points, channels
-    first, data = (2, rows[1:]) if header == ["x", "y"] else (1, rows)
+    # read_text's universal newlines leave no CR, so without quotes csv.reader's rows
+    # are exactly the lines cut at commas
+    plain = '"' not in text
+    rows = text.removesuffix("\n").split("\n") if plain else _reader_rows(text)
+    header = [h.strip().lower() for h in (rows[0].split(",") if plain else rows[0])]
+    scenario = header == CSV_HEADER
+    types, y = _SCENARIO_COLUMNS if scenario else _XY_COLUMNS
+    first = 2 if scenario or header == ["x", "y"] else 1
+    data = rows[first - 1:]
+    columns = _columns(data, len(types), plain)
     try:
-        # a row of the wrong width fails to unpack
-        points = [(float(x), float(y)) for x, y in data]
+        if columns is None:
+            raise ValueError("bad row width")
+        # a scenario CSV repeats its s, channel, flag and (the base sample's) x texts
+        values = [
+            list(map(convert, column)) if k == y else _convert_distinct(column, convert)
+            for k, (convert, column) in enumerate(zip(types, columns))
+        ]
     except ValueError:
-        _raise_first_bad_row(data, first, (float, float))
+        # a whole-column conversion cannot say which row failed
+        if plain:
+            # csv.reader reads a blank line as a row of no fields
+            data = [line.split(",") if line else [] for line in data]
+        _raise_first_bad_row(data, first, types)
         raise
-    return points, None
+    if not scenario:
+        return list(zip(*values)), None
+    _s, channel, xs, ys, flags = values
+    return list(compress(zip(xs, ys), flags)), max(channel, default=-1) + 1

@@ -228,8 +228,11 @@ def check_theorem4(seed: int, trials: int = 500) -> CheckResult:
     for x in _draw_vectors(rng, trials):
         c = x.shape[-1]
         y = layer_norm(x)
-        beta = np.maximum(beta_exact(x, np.arange(c)), BETA_MIN)
-        d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=_row_mean(x)))
+        mu = _row_mean(x)
+        # beta is exactly 0 at C = 2, so its floor scales with the row's variance: an
+        # absolute floor is above rounding for a narrow row
+        beta = np.maximum(beta_exact(x, np.arange(c)), BETA_MIN * _row_mean((x - mu) ** 2))
+        d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=mu))
         abs_err = np.abs(d - y)
         abs_errs.append(abs_err.max(initial=0.0))
         rel_errs.append((abs_err / np.maximum(np.abs(y), _TINY)).max(initial=0.0))

@@ -260,6 +260,15 @@ class TestFit:
         assert "row 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_csv_reader_error_exits_two(self, tmp_path, capsys):
+        # a quoted field past csv's field limit is bad input, not a failed check
+        csv = tmp_path / "big.csv"
+        csv.write_text('x,y\n1.0,0.5\n"' + "1" * 200_000 + '",0.1\n')
+        out = tmp_path / "f"
+        assert run("fit", "--input", csv, "--kind", "dyt", "--channels", 10, "--out", out) == 2
+        assert "row 3: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_data_exits_one(self, tmp_path):
         csv = tmp_path / "flat.csv"
         csv.write_text("x,y\n1.0,0.0\n")

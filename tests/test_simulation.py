@@ -1,7 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynact.core_math import layer_norm
 from dynact.rng import CounterRng
@@ -250,6 +254,15 @@ class TestCsv:
             ("0,1,2.0,0.7\n0,2,zz,0.7,0\n", "row 3: expected 5 columns, got 4"),
             ("0,1,zz,0.7,0\n0,2,2.0,0.7\n", "row 3: could not convert string to float: 'zz'"),
             ("0,1,2.0,0.7,0\n0,2,2.0,0.7,0\n0,3,zz,0.7\n", "row 5: expected 5 columns, got 4"),
+            # a flag other than 0 or 1 and a negative channel are refused, not misread
+            ("0,1,2.0,0.7,2\n", "row 3: is_outlier must be 0 or 1, got '2'"),
+            ("0,1,2.0,0.7,-1\n", "row 3: is_outlier must be 0 or 1, got '-1'"),
+            ("0,-1,2.0,0.7,0\n", "row 3: channel must be >= 0, got '-1'"),
+            ("0,1,2.0,0.7,0\n0,-3,2.0,0.7,1\n", "row 4: channel must be >= 0, got '-3'"),
+            # quotes send the text through csv.reader, with the same messages
+            ('"0",1,zz,0.7,0\n', "row 3: could not convert string to float: 'zz'"),
+            ('0,1,2.0,0.7,"1,0"\n', "row 3: invalid literal for int() with base 10: '1,0'"),
+            ('0,1,"2.0,0.7",0\n', "row 3: expected 5 columns, got 4"),
         ],
     )
     def test_malformed_scenario_names_first_bad_row(self, tmp_path, body, message):
@@ -258,3 +271,120 @@ class TestCsv:
         with pytest.raises(ValueError) as info:
             read_points_csv(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # csv.reader refuses a field longer than its limit of 131072 characters
+            ('x,y\n1.0,0.5\n"' + "1" * 200_000 + '",0.5\n', "row 3: field larger than field limit (131072)"),
+            ('s,channel,x,y,is_outlier\n"' + "0" * 200_000 + '",0,1.0,0.5,1\n', "row 2: field larger than field limit (131072)"),
+        ],
+        ids=["xy", "scenario"],
+    )
+    def test_csv_reader_error_names_its_row(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_points_csv(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_nul_byte_names_its_row(self, tmp_path, quoted):
+        # csv.reader refuses a NUL byte up to Python 3.10 and reads it as text after
+        path = tmp_path / "nul.csv"
+        path.write_text('x,y\n1.0,0.5\n"2.0\0",0.5\n' if quoted else "x,y\n1.0,0.5\n2.0\0,0.5\n")
+        with pytest.raises(ValueError, match="^row 3: "):
+            read_points_csv(path)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda line: line + "\r",
+            lambda line: ",".join(f'"{field}"' for field in line.split(",")),
+        ],
+        ids=["crlf", "quoted"],
+    )
+    def test_crlf_and_quoted_copies_read_the_same(self, tmp_path, rewrite):
+        text = scenario_to_csv(run_scenario(SimulationConfig(seed=9)))
+        plain, copy = tmp_path / "plain.csv", tmp_path / "copy.csv"
+        plain.write_text(text, encoding="utf-8")
+        copy.write_bytes("".join(rewrite(line) + "\n" for line in text.splitlines()).encode())
+        assert repr(read_points_csv(copy)) == repr(read_points_csv(plain))
+
+
+def _oracle_read_points_csv(path):
+    """read_points_csv as csv.reader rows and one int/float call per field, row by row."""
+    rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8-sig"))))
+    if not rows:
+        raise ValueError("empty CSV")
+    header = [h.strip().lower() for h in rows[0]]
+    scenario = header == ["s", "channel", "x", "y", "is_outlier"]
+    types = (int, int, float, float, int) if scenario else (float, float)
+    first = 2 if scenario or header == ["x", "y"] else 1
+    values = []
+    for n, row in enumerate(rows[first - 1:], start=first):
+        if len(row) != len(types):
+            raise ValueError(f"row {n}: expected {len(types)} columns, got {len(row)}")
+        try:
+            values.append([convert(text) for convert, text in zip(types, row)])
+        except ValueError as exc:
+            raise ValueError(f"row {n}: {exc}") from None
+    if not scenario:
+        return [tuple(v) for v in values], None
+    return [(v[2], v[3]) for v in values if v[4]], max((v[1] for v in values), default=-1) + 1
+
+
+# Pools of field texts per column. \x0c and \x85 are whitespace to float() but no line
+# end to csv.reader. The pools hold no negative channel and no int flag other than 0
+# or 1: read_points_csv refuses those rows, where the oracle misreads them.
+_FLOATS = ["0.25", "-2.0", " 1.5 ", "1_0", "inf", "-inf", "nan", "-0.0", "1e400", "1.0", "7", "abc", "", "1,5", '1"5', "\x0c3", "4\x85"]
+_INTS = ["0", "3", "1_0", " 4 ", "+2", "1.0", "x", ""]
+_SCENARIO_POOLS = [_INTS + ["-3"], _INTS, _FLOATS, _FLOATS, ["0", "1", " 1", "+1", "01", "0_0", "1.0", "y", ""]]
+_HEADERS = {
+    "scenario": ["s,channel,x,y,is_outlier", " S ,Channel,X,y,IS_OUTLIER", '"s",channel,x,y,is_outlier'],
+    "xy": ["x,y", " X , y", '"x","y"'],
+    "headerless": [],
+}
+
+
+def _field(text: str, quote: bool) -> str:
+    return '"' + text.replace('"', '""') + '"' if quote or "," in text else text
+
+
+@st.composite
+def _csv_texts(draw):
+    kind = draw(st.sampled_from(sorted(_HEADERS)))
+    pools = _SCENARIO_POOLS if kind == "scenario" else [_FLOATS, _FLOATS]
+    lines = [draw(st.sampled_from(_HEADERS[kind]))] if _HEADERS[kind] else []
+    for _ in range(draw(st.integers(0, 6))):
+        # mostly the right width; 0 is a blank line
+        width = draw(st.sampled_from([len(pools)] * 6 + [0, 1, len(pools) + 1]))
+        quote = draw(st.booleans()) and draw(st.booleans())
+        fields = [draw(st.sampled_from(pools[min(k, len(pools) - 1)])) for k in range(width)]
+        # a lone empty field would be a blank line, which csv.reader reads as no field
+        lines.append(",".join(_field(f, quote) for f in fields) if fields != [""] else '""')
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from(["", newline, newline * 2]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + (ending if lines else "")
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "in.csv"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_csv_texts())
+def test_reader_matches_per_row_oracle(csv_path, text):
+    path = csv_path
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = repr(_oracle_read_points_csv(path))
+    except ValueError as exc:
+        want = f"ValueError({exc})"
+    try:
+        got = repr(read_points_csv(path))
+    except ValueError as exc:
+        got = f"ValueError({exc})"
+    assert got == want

@@ -72,6 +72,13 @@ class TestIndividualChecks:
         assert result.passed
         assert result.max_rel_error <= 1e-10
 
+    def test_channel_exact_beta_on_a_narrow_two_channel_row(self):
+        # this seed draws a C = 2 row with sigma near 4e-5, where beta is exactly 0;
+        # an absolute floor of 1e-18 on it gave a relative error of 3.3e-10
+        result = check_theorem4(seed=1228496060, trials=50)
+        assert result.passed
+        assert result.max_rel_error <= 1e-15
+
     def test_isru_equivalence(self):
         result = check_isru_equivalence(seed=3, trials=500)
         assert result.passed
@@ -171,7 +178,7 @@ GOLDEN_REPORT_SHA256 = {
     # one trial, partial chunks, many chunks, and a report whose check 1 fails
     (11, 1): "919a3e9bdc79c8366ea7a0b9fddd85b01d5a7e100f638a1de6c005d86e77d153",
     (12, 7): "7fd6c0e2987de500ecf9e758f68a0b093ed644d466bc3cf67d8495b6c8209d93",
-    (13, 33): "729bcf2a5c22561214b51a8fa2e84bb4eb825de366b5a64b83de8692330d6675",
+    (13, 33): "724deae6c39b075dc39aae3acc497f68808ded6ad64fc1ebc4071d06eaab2b3c",
     (75, 100): "766723d6bf9591aaf41d6ae42072f3bb39f66b0c7a5763077faf9b2cff84ecb8",
 }
 
