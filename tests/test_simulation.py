@@ -277,7 +277,10 @@ class TestCsv:
         [
             # csv.reader refuses a field longer than its limit of 131072 characters
             ('x,y\n1.0,0.5\n"' + "1" * 200_000 + '",0.5\n', "row 3: field larger than field limit (131072)"),
-            ('s,channel,x,y,is_outlier\n"' + "0" * 200_000 + '",0,1.0,0.5,1\n', "row 2: field larger than field limit (131072)"),
+            (
+                's,channel,x,y,is_outlier\n"' + "0" * 200_000 + '",0,1.0,0.5,1\n',
+                "row 2: field larger than field limit (131072)",
+            ),
         ],
         ids=["xy", "scenario"],
     )
@@ -337,9 +340,11 @@ def _oracle_read_points_csv(path):
 # Pools of field texts per column. \x0c and \x85 are whitespace to float() but no line
 # end to csv.reader. The pools hold no negative channel and no int flag other than 0
 # or 1: read_points_csv refuses those rows, where the oracle misreads them.
-_FLOATS = ["0.25", "-2.0", " 1.5 ", "1_0", "inf", "-inf", "nan", "-0.0", "1e400", "1.0", "7", "abc", "", "1,5", '1"5', "\x0c3", "4\x85"]
+_FLOATS = ["0.25", "-2.0", " 1.5 ", "1_0", "inf", "-inf", "nan", "-0.0", "1e400", "1.0", "7"]
+_FLOATS += ["abc", "", "1,5", '1"5', "\x0c3", "4\x85"]
 _INTS = ["0", "3", "1_0", " 4 ", "+2", "1.0", "x", ""]
-_SCENARIO_POOLS = [_INTS + ["-3"], _INTS, _FLOATS, _FLOATS, ["0", "1", " 1", "+1", "01", "0_0", "1.0", "y", ""]]
+_FLAGS = ["0", "1", " 1", "+1", "01", "0_0", "1.0", "y", ""]
+_SCENARIO_POOLS = [_INTS + ["-3"], _INTS, _FLOATS, _FLOATS, _FLAGS]
 _HEADERS = {
     "scenario": ["s,channel,x,y,is_outlier", " S ,Channel,X,y,IS_OUTLIER", '"s",channel,x,y,is_outlier'],
     "xy": ["x,y", " X , y", '"x","y"'],
