@@ -66,12 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="run the stepwise outlier simulation")
-    p_sim.add_argument("--channels", type=int, default=100)
-    p_sim.add_argument("--sigma", type=float, default=2.0)
-    p_sim.add_argument("--mu", type=float, default=0.0)
-    p_sim.add_argument("--step", type=float, default=5.0)
-    p_sim.add_argument("--s-max", type=int, default=9)
-    p_sim.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(SimulationConfig):
+        p_sim.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     p_sim.add_argument(
         "--frames", default=None,
         help="comma-separated frame indices to plot, each in [0, s-max] (default: 0,1,2,9 up to s-max)",
@@ -235,14 +231,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = SimulationConfig(
-        channels=args.channels,
-        sigma=args.sigma,
-        mu=args.mu,
-        step=args.step,
-        s_max=args.s_max,
-        seed=args.seed,
-    )
+    config = SimulationConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SimulationConfig)})
     if args.frames is None:
         frames = [s for s in DEFAULT_FRAMES if s <= config.s_max]
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
@@ -38,12 +39,16 @@ class SimulationConfig:
     def __post_init__(self):
         if self.channels < 2:
             raise ValueError(f"channels must be >= 2, got {self.channels}")
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if not (self.step > 0):
-            raise ValueError(f"step must be > 0, got {self.step}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
         if self.s_max < 0:
             raise ValueError(f"s_max must be >= 0, got {self.s_max}")
+        if not math.isfinite(self.step * self.s_max):
+            raise ValueError(f"step * s_max must be finite, got {self.step} * {self.s_max}")
 
 
 @dataclass(frozen=True)

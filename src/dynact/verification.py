@@ -84,46 +84,35 @@ def ln_derivative_fd(x) -> np.ndarray:
 
 def _draw_vector(rng: CounterRng, c: int) -> np.ndarray:
     """Random channel vector: standard normals scaled by sigma ~ U[0.1, 10]."""
-    while True:
-        sigma = rng.uniform(0.1, 10.0)
-        x = sigma * rng.normals(c)
-        if np.mean((x - x.mean()) ** 2) >= _REDRAW_VAR:
-            return x
+    return next(_draw_vectors(rng, [c]))[0]
 
 
-def _draw_vectors(rng: CounterRng, trials: int, c: int | None = None):
-    """Yield what ``_draw_vector(rng, c)`` draws in each trial (after C = rng.randint(2, 100)
-    without c) as (k, C) matrices, one per C, from one peek and one Box-Muller pass per batch
-    of at most _BATCH words. A batch ends at the first trial that needs a redraw, drawn alone.
+def _draw_vectors(rng: CounterRng, cs):
+    """Yield the random vectors of trials with the non-decreasing channel counts cs, as (k, C)
+    matrices, one per C in each batch of at most _BATCH words (or one trial).
+
+    A trial is its sigma word, as rng.uniform(0.1, 10.0), then its 2C words of rng.normals(C).
+    A trial whose variance is below _REDRAW_VAR ends its batch: the trials before it are
+    yielded, its words are skipped, and it draws again first in the next batch.
     """
-    lead = int(c is None)  # without c, a trial starts with its randint word
-    most = lead + 1 + 2 * (c or 100)  # words a trial takes at most
-    while trials:
-        n = min(trials, max(1, _BATCH // most))
-        words = rng.peek(n * most)
-        cs, first, at = [], [], 0
-        for _ in range(n):  # each trial's C and sigma word
-            cs.append(c or 2 + int(words[at]) % 99)  # as rng.randint(2, 100)
-            first.append(at + lead)
-            at += lead + 1 + 2 * cs[-1]
-        order = np.argsort(cs, kind="stable")  # by C, and by trial within a C
-        c_sorted, sigma_at = np.array(cs)[order], np.array(first)[order]
-        normal_words = np.concatenate([words[f + 1:f + 1 + 2 * k] for f, k in zip(sigma_at, c_sorted)])
+    cs = np.asarray(cs, dtype=np.int64)
+    while cs.size:
+        ends = np.cumsum(1 + 2 * cs)
+        n = max(1, int(np.searchsorted(ends, _BATCH, side="right")))
+        sigma_at = ends[:n] - (1 + 2 * cs[:n])
+        words = rng.peek(int(ends[n - 1]))
         sigma = 0.1 + (10.0 - 0.1) * ((words[sigma_at] >> np.uint64(11)) * 2.0**-53)  # as rng.uniform
-        flat = np.repeat(sigma, c_sorted) * _box_muller(normal_words)
-        c_set, counts = np.unique(c_sorted, return_counts=True)
+        flat = np.repeat(sigma, cs[:n]) * _box_muller(np.delete(words, sigma_at))
+        c_set, counts = np.unique(cs[:n], return_counts=True)
         mats = [m.reshape(-1, k) for m, k in zip(np.split(flat, np.cumsum(c_set * counts)[:-1]), c_set)]
-        var = [_row_mean((x - _row_mean(x)) ** 2, keepdims=False) for x in mats]
-        ok = np.concatenate(var) >= _REDRAW_VAR
-        if not ok.all():
-            n = int(order[~ok].min())
-            yield from _draw_vectors(rng, n, c)
-            yield _draw_vector(rng, c or rng.randint(2, 100))[None]
-            trials -= n + 1
-            continue
-        rng.skip(at)
-        trials -= n
-        yield from mats
+        ok = np.concatenate([_row_mean((x - _row_mean(x)) ** 2, keepdims=False) for x in mats]) >= _REDRAW_VAR
+        kept = n if ok.all() else int(ok.argmin())
+        rng.skip(int(ends[min(kept, n - 1)]))
+        cs = cs[kept:]
+        for x in mats:
+            if kept > 0:
+                yield x[:kept]
+            kept -= len(x)
 
 
 def _result(name, trials, abs_errs, rel_errs, tol, gate_abs=False) -> CheckResult:
@@ -156,7 +145,7 @@ def check_theorem1(
     abs_errs, rel_errs = [], []
     for c in c_list:
         step = max(1, _BATCH // c**2)  # trials at once in the (trials, C, C) reference
-        for xs in _draw_vectors(rng, trials, c):
+        for xs in _draw_vectors(rng, [c] * trials):
             for x in (xs[k:k + step] for k in range(0, len(xs), step)):
                 fd = ln_derivative_fd(x)
                 abs_err = np.abs(ln_derivative_analytic(x, np.arange(c)) - fd)
@@ -224,8 +213,10 @@ def check_theorem4(seed: int, trials: int = 500) -> CheckResult:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = CounterRng(seed, "channel_exact_beta_vs_ln")
+    # the channel counts come first, so that the vectors are drawn in order of C
+    cs = sorted(rng.randint(2, 100) for _ in range(trials))
     abs_errs, rel_errs = [], []
-    for x in _draw_vectors(rng, trials):
+    for x in _draw_vectors(rng, cs):
         c = x.shape[-1]
         y = layer_norm(x)
         mu = _row_mean(x)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -106,6 +107,29 @@ class TestSimulate:
         }
         manifest = assert_manifest_lists_directory(out, "simulate")
         assert manifest["seed"] == 0
+
+    def test_defaults_are_the_library_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("simulate") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"] == {**dataclasses.asdict(SimulationConfig()), "frames": [0, 1, 2, 9]}
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--step", "inf"], "step must be finite and > 0, got inf"),
+            (["--step", "1e308"], "step * s_max must be finite, got 1e+308 * 9"),
+            (["--sigma", "inf"], "sigma must be finite and > 0, got inf"),
+            (["--mu", "nan"], "mu must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_setting_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sim"
+        assert run("simulate", *flags, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"dynact simulate: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_json_lists_directory(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -36,6 +36,19 @@ class TestConfig:
             SimulationConfig(step=0.0)
         with pytest.raises(ValueError):
             SimulationConfig(s_max=-1)
+        # non-finite settings are refused by name, not later by layer_norm
+        for kwargs, message in [
+            ({"mu": math.nan}, "mu must be finite, got nan"),
+            ({"mu": -math.inf}, "mu must be finite, got -inf"),
+            ({"sigma": math.inf}, "sigma must be finite and > 0, got inf"),
+            ({"sigma": math.nan}, "sigma must be finite and > 0, got nan"),
+            ({"step": math.inf}, "step must be finite and > 0, got inf"),
+            ({"step": 1e308}, r"step \* s_max must be finite, got 1e\+308 \* 9"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                SimulationConfig(**kwargs)
+        # a step whose product with s_max would overflow is fine with no step taken
+        SimulationConfig(step=1e308, s_max=0)
 
 
 class TestSampleBase:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -160,26 +161,26 @@ class TestReport:
         assert not report.verdict
 
 
-# sha256 of run_all_checks(seed, trials).to_json() for the per-channel scalar
-# implementation these checks replaced; the whole-vector one must match it
-# byte for byte.
+# sha256 of run_all_checks(seed, trials).to_json(). Check 4's two error fields
+# were re-frozen when it began drawing its channel counts before its vectors;
+# every other field is what the per-channel scalar implementation gave.
 GOLDEN_REPORT_SHA256 = {
-    (0, 10): "b258529d1819b2eb21bf74d09874741c23870076527a28ec40e0a9a456a8d978",
-    (1, 10): "40502f364d02454b97389ab0fcdbba07f176e197a8374e5644b826a48b45b570",
-    (2, 10): "357a185f3994b838ffa11339dd8a5a22a1692afad82cdb5f4d3f37938fbc1ebe",
-    (3, 10): "849a67e5064e16acedf8b34b2add841907b9c41562f773d848315cd05fb26398",
-    (4, 10): "bc9551e15675a697edb683cca545ccffc71c33041cb4eeb930dfd5bdf5e3393e",
-    (5, 10): "b477610f22d1177df4203930a0c9230f57e000d7dbf7d57262e1493e23ba1391",
-    (6, 10): "c3299471731bf1c9f7ea79b61b03a1137512d85d4d48123c661397cda822f0e9",
-    (7, 10): "f0fc5ab57b608bd889bad80f2212815b2a51e9ae17c489f920f63d80f428f335",
-    (8, 10): "1f0b5fe1a87024b4430aba04a24189a267c71ce24594c05ffc9b5627050b1d99",
-    (9, 10): "d5b370cb30ed767ba3871a13d2d02fae295eef3b5440d0f0955db351c586cb3e",
-    (1, 100): "4b4414e9522fcba7af0259c0d6a6ff4305c0041132bf2ca95250dcc6dc66450e",
+    (0, 10): "4e19e08c871c1ce1a159dfb4c21963e1ec47df45f5e8cf409596db628d966418",
+    (1, 10): "d621f271113c0c180aeba04a8cc414de3b25508e29d2c5a96811d84869d8c993",
+    (2, 10): "5f53c36894f1d7c62e55b617787f4c24f1de8be11a19cd41a3ddd14c048c6b4e",
+    (3, 10): "89c2b9f5db7322528611a074af4cbec4364603ff6370f37cc18aee7568010d4f",
+    (4, 10): "9c71996b4be5213dce7df10968d8b4152c2b278feb2b0b87a36aeba3bd2543f2",
+    (5, 10): "7c04035d2fe4b97ce6657770bf2153b1779877b5fc7994260ded7bd685bfbda4",
+    (6, 10): "bcf6173d47e4f0d1e5f3db4aa746e0791d60de3f030d7dccb4b0e4f3a7067bd1",
+    (7, 10): "9c9f9327859b483b52ae4821c9657f40e14292259104315267dac14c75883dfa",
+    (8, 10): "9545f53e27b8e08e0ce75d66718cb79067cd079e21d3d1c13c580067e487c7b0",
+    (9, 10): "b0eeefa511e9742b229144be339f3631bc97ef357459d1ad609416f4cff3c85c",
+    (1, 100): "c6c4df0a1aaa5e53e194891394fcc896e307b411fc1863466cc7344db788d334",
     # one trial, partial chunks, many chunks, and a report whose check 1 fails
-    (11, 1): "919a3e9bdc79c8366ea7a0b9fddd85b01d5a7e100f638a1de6c005d86e77d153",
-    (12, 7): "7fd6c0e2987de500ecf9e758f68a0b093ed644d466bc3cf67d8495b6c8209d93",
-    (13, 33): "724deae6c39b075dc39aae3acc497f68808ded6ad64fc1ebc4071d06eaab2b3c",
-    (75, 100): "766723d6bf9591aaf41d6ae42072f3bb39f66b0c7a5763077faf9b2cff84ecb8",
+    (11, 1): "46dd4e203d8ebdff1906fc75472cf8b1337c033c916693c69785719d6cb0116c",
+    (12, 7): "f49ffececda63872a38514328638e5ab7d7116d8f0ec32bedb766e0dcd5f9da2",
+    (13, 33): "f730e7c43804cb5f4f3f71705c9003aa188543bbb4ecb667e1df0ffe1a7b8a3c",
+    (75, 100): "b9d275058c793770d6952e1b3dbdc47b3551a42d2486502cde5767699554b9e6",
 }
 
 
@@ -191,15 +192,22 @@ def test_report_bytes_match_golden():
     assert got == GOLDEN_REPORT_SHA256
 
 
+def _reference_draw(rng, c):
+    """One trial vector drawn call by call, and how many times it was redrawn."""
+    for redraws in itertools.count():
+        x = rng.uniform(0.1, 10.0) * rng.normals(c)
+        if np.mean((x - x.mean()) ** 2) >= verification._REDRAW_VAR:
+            return x, redraws
+
+
 def _oracle_theorem1(seed, trials, c_list=(2, 3, 10, 100), rel_tol=1e-6, abs_tol=1e-8):
     """Check 1 as a per-trial loop of 1-D library calls; also counts redraws."""
     rng = CounterRng(seed, "ln_derivative_vs_fd")
     abs_errs, rel_errs, redraws = [], [], 0
     for c in c_list:
         for _ in range(trials):
-            before = rng._counter
-            x = verification._draw_vector(rng, c)
-            redraws += rng._counter - before > 1 + 2 * c
+            x, redrawn = _reference_draw(rng, c)
+            redraws += redrawn
             bump = np.eye(c) * verification.FD_STEP
             plus = np.array([layer_norm(row)[k] for k, row in enumerate(x + bump)])
             minus = np.array([layer_norm(row)[k] for k, row in enumerate(x - bump)])
@@ -218,11 +226,9 @@ def _oracle_theorem4(seed, trials):
     """Check 4 as a per-trial loop of 1-D library calls; also counts redraws."""
     rng = CounterRng(seed, "channel_exact_beta_vs_ln")
     abs_errs, rel_errs, redraws = [], [], 0
-    for _ in range(trials):
-        c = rng.randint(2, 100)
-        before = rng._counter
-        x = verification._draw_vector(rng, c)
-        redraws += rng._counter - before > 1 + 2 * c
+    for c in sorted([rng.randint(2, 100) for _ in range(trials)]):
+        x, redrawn = _reference_draw(rng, c)
+        redraws += redrawn
         y = layer_norm(x)
         beta = np.array([max(beta_exact(x, k), BETA_MIN) for k in range(c)])
         d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=float(np.mean(x))))
@@ -234,8 +240,8 @@ def _oracle_theorem4(seed, trials):
 
 @pytest.mark.parametrize("seed, trials", [(0, 1), (3, 9), (5, 40)])
 def test_batched_checks_match_per_trial_oracle_with_redraws(monkeypatch, seed, trials):
-    # a variance floor of 1.0 makes redraws frequent, so the batched draws
-    # must fall back to the per-trial loop and still leave the stream in place
+    # a variance floor of 1.0 makes redraws frequent, so batches end early and
+    # the redrawn trials must still leave the stream in place
     monkeypatch.setattr(verification, "_REDRAW_VAR", 1.0)
     want1, redraws1 = _oracle_theorem1(seed, trials)
     want4, redraws4 = _oracle_theorem4(seed, 5 * trials)
@@ -248,3 +254,17 @@ def test_batched_checks_match_per_trial_oracle_with_redraws(monkeypatch, seed, t
 def test_batched_checks_match_per_trial_oracle(seed):
     assert check_theorem1(seed, 8) == _oracle_theorem1(seed, 8)[0]
     assert check_theorem4(seed, 60) == _oracle_theorem4(seed, 60)[0]
+
+
+# sha256 of _draw_vector's bytes over seeds 0-199, each seed one check 1 stream
+# drawn at C = 2, 3, 10, 100 in turn; the benchmark replays check 1 through it.
+DRAW_VECTOR_SHA256 = "a093b1a0061c74866d771b7bb45d97ad7b659256a3a892eb718198f77daa3205"
+
+
+def test_draw_vector_bytes_match_golden():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        rng = CounterRng(seed, "ln_derivative_vs_fd")
+        for c in (2, 3, 10, 100):
+            digest.update(verification._draw_vector(rng, c).tobytes())
+    assert digest.hexdigest() == DRAW_VECTOR_SHA256
