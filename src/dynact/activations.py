@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynact.core_math import as_channel_vector, _centered, _check_index
+from dynact.core_math import as_channel_vector, _centered, _check_index, _check_integer
 
 # Lower clamp for beta when constructing DyISRUParams from a channel-exact
 # value: beta = 0 is analytically valid but collapses DyISRU to a step.
@@ -29,8 +29,7 @@ class DyTParams:
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if self.channels < 2:
-            raise ValueError(f"channels must be >= 2, got {self.channels}")
+        _check_integer("channels", self.channels, 2)
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,7 @@ class DyISRUParams:
     def __post_init__(self):
         if not ((np.asarray(self.beta) > 0) & (self.beta < np.inf)).all():
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if self.channels < 2:
-            raise ValueError(f"channels must be >= 2, got {self.channels}")
+        _check_integer("channels", self.channels, 2)
 
     def _key(self) -> tuple:
         # beta > 0 rules out NaN and -0.0, so equal bytes means equal values
@@ -66,15 +64,30 @@ class DyISRUParams:
         return hash(self._key())
 
 
+def _dyt(x, alpha, root, slope=False):
+    """root * tanh(z), z = alpha * x; with slope also its log-alpha derivative root * z * sech(z)^2."""
+    z = alpha * x
+    if slope:  # 4e / (1+e)^2, e = exp(-2|z|), keeps its sign where tanh rounds to +-1 and C-1 - y^2 is noise
+        e = np.exp(-2.0 * np.abs(z))
+        return root * np.tanh(z), root * z * (4.0 * e / (1.0 + e) ** 2)
+    return root * np.tanh(z)
+
+
+def _dyisru(u, beta, root, slope=False):
+    """y = root * u / sqrt(beta + u^2); with slope also its log-beta derivative -beta y / (2 (beta + u^2))."""
+    d = beta + u * u
+    y = root * u / np.sqrt(d)
+    return (y, -beta * y / (2.0 * d)) if slope else y
+
+
 def scaled_dyt(x, p: DyTParams):
     """sqrt(C-1) * tanh(alpha * x): odd, strictly increasing, |.| < sqrt(C-1)."""
-    return math.sqrt(p.channels - 1) * np.tanh(p.alpha * np.asarray(x, dtype=np.float64))
+    return _dyt(np.asarray(x, dtype=np.float64), p.alpha, math.sqrt(p.channels - 1))
 
 
 def dyisru(x, p: DyISRUParams):
     """sqrt(C-1) * (x - mu) / sqrt(beta + (x - mu)^2); mu = 0 is the outlier form."""
-    u = np.asarray(x, dtype=np.float64) - p.mu
-    return math.sqrt(p.channels - 1) * u / np.sqrt(p.beta + u * u)
+    return _dyisru(np.asarray(x, dtype=np.float64) - p.mu, p.beta, math.sqrt(p.channels - 1))
 
 
 def isru(x, alpha: float):

@@ -177,7 +177,7 @@ def _fit_figure(points: list[tuple[float, float]], results: list[FitResult], cha
     grid = np.linspace(min(xs + [0.0]), max(xs), CURVE_SEGMENTS + 1)
     grid_xs = tuple(grid.tolist())
     bottom = Panel(title="residuals (positive outliers)", xlabel="x", ylabel="residual")
-    bottom.hlines.append((0.0, True))
+    bottom.hlines.append(0.0)
     for k, res in enumerate(results):
         color = color_cycle(k + 1)
         curve = _curve(res.function_kind, res.parameter, channels, grid)
@@ -283,7 +283,7 @@ def _fig1_files(out: _Out) -> None:
     grid_text = list(map(repr, grid_xs))
     panel = Panel(title=f"DyT and DyISRU, C = {FIG1_CHANNELS}", xlabel="x", ylabel="y")
     bound = math.sqrt(FIG1_CHANNELS - 1)
-    panel.hlines.extend([(bound, True), (-bound, True)])
+    panel.hlines.extend([bound, -bound])
     lines = ["function,parameter,x,y"]
     curves = [("dyt", a, f"DyT alpha={a:g}") for a in FIG1_ALPHAS]
     curves += [("dyisru", b, f"DyISRU beta={b:g}") for b in FIG1_BETAS]

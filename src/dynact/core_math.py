@@ -7,6 +7,8 @@ the 1-D call, and use population statistics (divisor C). Pure and 64-bit.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Below this variance the input is treated as constant and normalization is
@@ -32,16 +34,29 @@ def as_channel_vector(x) -> np.ndarray:
     return arr
 
 
+def _check_integer(name: str, value, low: int | None = None) -> None:
+    """Refuse a non-integer value (numpy integers pass) or one below low, by a ValueError naming the field."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def _check_index(i, c: int):
     """Validate a channel index or integer index array against [0, C).
 
-    Negative entries are refused rather than wrapped as numpy would.
+    Negative entries are refused rather than wrapped as numpy would, and so is
+    a float, bool or string index; an empty index list gives an empty array.
     """
-    idx = np.asarray(i, dtype=np.int64)
+    idx = np.asarray(i)
+    if idx.dtype.kind not in "iu" and idx.size:
+        raise IndexOutOfRange(f"channel index {i!r} is not an integer")
     bad = (idx < 0) | (idx >= c)
     if bad.any():
         raise IndexOutOfRange(f"channel index {idx[bad].flat[0]} outside [0, {c})")
-    return idx
+    return idx.astype(np.int64, copy=False)
 
 
 def _row_mean(arr: np.ndarray, keepdims: bool = True) -> np.ndarray:

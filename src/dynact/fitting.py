@@ -13,6 +13,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from dynact.activations import _dyisru, _dyt
+from dynact.core_math import _check_integer
+
 # Parameter search domains (log-space bounds).
 ALPHA_DOMAIN = (1e-12, 1e12)
 BETA_DOMAIN = (1e-9, 1e12)
@@ -46,8 +49,7 @@ class FitDataset:
         y = np.array(self.y, dtype=np.float64)
         if x.ndim != 1 or x.shape != y.shape:
             raise ValueError(f"x and y must be 1-D of equal length, got shapes {x.shape} and {y.shape}")
-        if self.channels < 2:
-            raise ValueError(f"channels must be >= 2, got {self.channels}")
+        _check_integer("channels", self.channels, 2)
         if len(x) < 1:
             raise ValueError("dataset needs at least one point")
         bound = math.sqrt(self.channels - 1)
@@ -189,22 +191,23 @@ def _fit_scalar(
     theta0: float,
     domain: tuple[float, float],
 ) -> FitResult:
-    """Least-squares theta of `model(x, theta)`; `model(x, theta, True)` adds d/dlog(theta) of the values."""
+    """Least-squares theta of `model(x, theta, root)`, root = sqrt(C-1); slope=True adds d/dlog(theta)."""
     if len(data.x) < 2:
         raise ValueError("fit needs at least 2 points")
     xs, ys = data.x, data.y
+    root = math.sqrt(data.channels - 1)
     calls = 0
 
     def objective(t: float) -> float:  # SSE
         nonlocal calls
         calls += 1
-        r = ys - model(xs, math.exp(t))
+        r = ys - model(xs, math.exp(t), root)
         return float(r @ r)
 
     def gradient(t: float) -> float:  # dSSE/dt
         nonlocal calls
         calls += 1
-        m, dm = model(xs, math.exp(t), True)
+        m, dm = model(xs, math.exp(t), root, True)
         return -2.0 * float((ys - m) @ dm)
 
     (ta, tb, tc), bracket_sse = _expand_bracket(objective, math.log(theta0), *map(math.log, domain))
@@ -212,7 +215,7 @@ def _fit_scalar(
     theta = math.exp(t)
 
     n = data.n_original
-    res = ys[:n] - model(xs[:n], theta)
+    res = ys[:n] - model(xs[:n], theta, root)
     return FitResult(
         function_kind=kind,
         parameter=theta,
@@ -229,31 +232,13 @@ def _fit_scalar(
 
 def fit_dyt(data: FitDataset) -> FitResult:
     """Fit alpha in y = sqrt(C-1) * tanh(alpha * x) by least squares."""
-    root = math.sqrt(data.channels - 1)
     xmax = float(np.max(np.abs(data.x)))
     if xmax == 0.0:
         raise BracketFailure("all x are zero; alpha is unidentifiable")
-    theta0 = 1.0 / xmax
-
-    def model(x, alpha, slope=False):
-        z = alpha * x
-        if slope:  # sqrt(C-1) z sech(z)^2 keeps its sign where tanh rounds to +-1 and C-1 - y^2 is noise
-            e = np.exp(-2.0 * np.abs(z))
-            return root * np.tanh(z), root * z * (4.0 * e / (1.0 + e) ** 2)
-        return root * np.tanh(z)
-
-    return _fit_scalar("dyt", data, model, theta0, ALPHA_DOMAIN)
+    return _fit_scalar("dyt", data, _dyt, 1.0 / xmax, ALPHA_DOMAIN)
 
 
 def fit_dyisru(data: FitDataset) -> FitResult:
     """Fit beta in y = sqrt(C-1) * x / sqrt(beta + x^2) by least squares on log beta."""
-    root = math.sqrt(data.channels - 1)
-    theta0 = float(np.median(data.x * data.x))
-    theta0 = min(max(theta0, BETA_DOMAIN[0]), BETA_DOMAIN[1])
-
-    def model(x, beta, slope=False):
-        d = beta + x * x
-        y = root * x / np.sqrt(d)
-        return (y, -beta * y / (2.0 * d)) if slope else y
-
-    return _fit_scalar("dyisru", data, model, theta0, BETA_DOMAIN)
+    theta0 = min(max(float(np.median(data.x * data.x)), BETA_DOMAIN[0]), BETA_DOMAIN[1])
+    return _fit_scalar("dyisru", data, _dyisru, theta0, BETA_DOMAIN)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dynact.core_math import layer_norm
+from dynact.core_math import _check_integer, layer_norm
 from dynact.rng import CounterRng
 
 CSV_HEADER = ["s", "channel", "x", "y", "is_outlier"]
@@ -37,16 +37,15 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.channels < 2:
-            raise ValueError(f"channels must be >= 2, got {self.channels}")
+        _check_integer("channels", self.channels, 2)
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0 < self.step < math.inf:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
-        if self.s_max < 0:
-            raise ValueError(f"s_max must be >= 0, got {self.s_max}")
+        _check_integer("s_max", self.s_max, 0)
+        _check_integer("seed", self.seed)
         if not math.isfinite(self.step * self.s_max):
             raise ValueError(f"step * s_max must be finite, got {self.step} * {self.s_max}")
 

@@ -41,7 +41,7 @@ class Panel:
     xlabel: str
     ylabel: str
     series: list = field(default_factory=list)
-    hlines: list = field(default_factory=list)  # (y, dashed) pairs
+    hlines: list = field(default_factory=list)  # y values of dashed horizontal lines
 
 
 def _data_bounds(panel: Panel) -> tuple[float, float, float, float]:
@@ -50,7 +50,7 @@ def _data_bounds(panel: Panel) -> tuple[float, float, float, float]:
     for s in panel.series:
         xs.extend(s.xs)
         ys.extend(s.ys)
-    ys.extend(y for y, _ in panel.hlines)
+    ys.extend(panel.hlines)
     if not xs or not ys:
         return 0.0, 1.0, 0.0, 1.0
     x0, x1 = min(xs), max(xs)
@@ -123,11 +123,10 @@ def _render_panel(panel: Panel, y_off: float, height: float) -> list[str]:
     parts.append(_text(ox + inner_w / 2, oy + inner_h + 38, panel.xlabel, 13))
     cx, cy = 18, oy + inner_h / 2
     parts.append(_text(cx, cy, panel.ylabel, 13, extra=f' transform="rotate(-90 {cx:.2f} {cy:.2f})"'))
-    for y, dashed in panel.hlines:
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
+    for y in panel.hlines:
         parts.append(
             f'<line x1="{ox:.2f}" y1="{sy(y):.2f}" x2="{ox + inner_w:.2f}" y2="{sy(y):.2f}" '
-            f'stroke="#777" stroke-width="1"{dash}/>'
+            f'stroke="#777" stroke-width="1" stroke-dasharray="6 4"/>'
         )
     legend_y = oy + 16
     for s in panel.series:

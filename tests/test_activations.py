@@ -32,6 +32,9 @@ class TestParams:
                 DyTParams(alpha=alpha, channels=10)
         with pytest.raises(ValueError):
             DyTParams(alpha=1.0, channels=1)
+        with pytest.raises(ValueError, match=r"^channels must be an integer, got 2\.5$"):
+            DyTParams(alpha=1.0, channels=2.5)
+        assert DyTParams(alpha=1.0, channels=np.int64(3)).channels == 3
 
     def test_dyisru_validation(self):
         with pytest.raises(ValueError):
@@ -40,6 +43,8 @@ class TestParams:
             DyISRUParams(beta=-1.0, channels=10)
         with pytest.raises(ValueError):
             DyISRUParams(beta=1.0, channels=1)
+        with pytest.raises(ValueError, match=r"^channels must be an integer, got 2\.5$"):
+            DyISRUParams(1.0, 2.5)
         # a per-channel beta must be > 0 in every entry
         DyISRUParams(beta=np.array([0.5, 2.0]), channels=2)
         with pytest.raises(ValueError):
@@ -247,6 +252,8 @@ class TestBetaExact:
             beta_exact([1.0, 2.0, 4.0], np.array([1, -1]))
         with pytest.raises(IndexOutOfRange):
             beta_exact([1.0, 2.0, 4.0], np.array([3, 0]))
+        with pytest.raises(IndexOutOfRange, match="is not an integer"):
+            beta_exact([1.0, 2.0, 4.0], np.array([0.0, 2.0]))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(17)

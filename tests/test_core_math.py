@@ -117,6 +117,11 @@ class TestLnDerivative:
             ln_derivative_analytic([1.0, 2.0, 3.0], np.array([0, -1, 2]))
         with pytest.raises(IndexOutOfRange):
             ln_derivative_analytic([1.0, 2.0, 3.0], np.array([0, 3, 2]))
+        # a float, string or bool index is refused, not cast to an integer
+        for bad in (1.5, "1", True, np.array([0.0, 2.0])):
+            with pytest.raises(IndexOutOfRange, match="is not an integer"):
+                ln_derivative_analytic([1.0, 2.0, 4.0], bad)
+        assert ln_derivative_analytic([1.0, 2.0, 4.0], []).shape == (0,)
 
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVariance):

@@ -119,6 +119,18 @@ class TestOptimality:
             assert lo < result.parameter < hi
 
 
+@pytest.mark.parametrize("c", [100, 1024, 4096])
+def test_residuals_are_the_public_formulas(c):
+    # both fitters evaluate the same formula as scaled_dyt and dyisru, bit for bit
+    scenario = run_scenario(SimulationConfig(channels=c, seed=0))
+    points = outlier_points(scenario)
+    data = mirror_augment(points, channels=c)
+    x, y = np.array(points).T
+    dyt, isr = fit_dyt(data), fit_dyisru(data)
+    assert dyt.residuals == tuple((y - scaled_dyt(x, DyTParams(dyt.parameter, c))).tolist())
+    assert isr.residuals == tuple((y - dyisru(x, DyISRUParams(isr.parameter, c))).tolist())
+
+
 def test_mirror_symmetry():
     # already odd-symmetric data: augmentation must not move the optimum
     scenario = run_scenario(SimulationConfig(seed=5))
@@ -324,6 +336,8 @@ class TestFitResult:
             FitDataset([], [], channels=10)
         with pytest.raises(ValueError, match="channels must be >= 2"):
             FitDataset([1.0], [0.5], channels=1)
+        with pytest.raises(ValueError, match=r"^channels must be an integer, got 2\.5$"):
+            FitDataset([1.0], [0.5], channels=2.5)
 
     @pytest.mark.parametrize("n_original", [0, 4, 7])
     def test_n_original_must_count_stored_points(self, n_original):

@@ -44,6 +44,10 @@ class TestConfig:
             ({"sigma": math.nan}, "sigma must be finite and > 0, got nan"),
             ({"step": math.inf}, "step must be finite and > 0, got inf"),
             ({"step": 1e308}, r"step \* s_max must be finite, got 1e\+308 \* 9"),
+            # integer fields refuse a float rather than truncating it or failing later
+            ({"channels": 2.5}, r"channels must be an integer, got 2\.5"),
+            ({"s_max": 2.5}, r"s_max must be an integer, got 2\.5"),
+            ({"seed": 2.5}, r"seed must be an integer, got 2\.5"),
         ]:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 SimulationConfig(**kwargs)
