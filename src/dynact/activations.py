@@ -14,8 +14,9 @@ import numpy as np
 
 from dynact.core_math import as_channel_vector, _centered, _check_index, _check_integer
 
-# Lower clamp for beta when constructing DyISRUParams from a channel-exact
-# value: beta = 0 is analytically valid but collapses DyISRU to a step.
+# Floor for a channel-exact beta, as a multiple of the row's population variance:
+# beta = 0 is analytically valid but collapses DyISRU to a step, and an absolute
+# floor can be above rounding on a narrow row.
 BETA_MIN = 1e-18
 
 
@@ -46,7 +47,8 @@ class DyISRUParams:
     mu: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not ((np.asarray(self.beta) > 0) & (self.beta < np.inf)).all():
+        beta = np.asarray(self.beta)
+        if not ((beta > 0) & (beta < np.inf)).all():
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         _check_integer("channels", self.channels, 2)
 
@@ -103,9 +105,10 @@ def beta_exact(x, i):
 
     Equals (C-1) * var_excluding_i - var, where var_excluding_i uses divisor
     C-1 over the channels k != i. Always >= 0 analytically (it is a squared
-    integration constant); may be exactly 0, so clamp with BETA_MIN before
-    building DyISRUParams from it. An int ``i`` on one vector gives a float,
-    an integer index array the betas at those channels of each row of a
+    integration constant); may be exactly 0 (always at C = 2), so floor it at
+    BETA_MIN times the row's population variance before building DyISRUParams
+    from it, as verification's check 4 does. An int ``i`` on one vector gives
+    a float, an integer index array the betas at those channels of each row of a
     (..., C) x. A (near-)constant vector raises DegenerateVariance.
     """
     arr = as_channel_vector(x)

@@ -321,9 +321,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_USAGE
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)

@@ -7,8 +7,6 @@ the 1-D call, and use population statistics (divisor C). Pure and 64-bit.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 # Below this variance the input is treated as constant and normalization is
@@ -36,10 +34,8 @@ def as_channel_vector(x) -> np.ndarray:
 
 def _check_integer(name: str, value, low: int | None = None) -> None:
     """Refuse a non-integer value (numpy integers pass) or one below low, by a ValueError naming the field."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 

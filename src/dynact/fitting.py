@@ -61,12 +61,13 @@ class FitDataset:
                 raise ValueError(f"non-finite data point ({x[i]}, {y[i]})")
             raise ValueError(f"target y={y[i]} is unattainable: |y| must be < sqrt(C-1) = {bound:.6g}")
         x.flags.writeable = y.flags.writeable = False
+        n = len(x) if self.n_original is None else self.n_original
+        _check_integer("n_original", n)
+        if not 1 <= n <= len(x):
+            raise ValueError(f"n_original must be in [1, {len(x)}], got {n}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if self.n_original is None:
-            object.__setattr__(self, "n_original", len(x))
-        elif not 1 <= self.n_original <= len(x):
-            raise ValueError(f"n_original must be in [1, {len(x)}], got {self.n_original}")
+        object.__setattr__(self, "n_original", n)
 
 
 @dataclass(frozen=True)

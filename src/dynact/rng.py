@@ -31,9 +31,10 @@ a draw takes, is a new stream version: record it explicitly in CHANGES.md.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
+
+from dynact.core_math import _check_integer
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -96,6 +97,7 @@ class CounterRng:
     """Counter-indexed splitmix64 stream with uniform and Gaussian draws."""
 
     def __init__(self, seed: int, stream: str = ""):
+        _check_integer("seed", seed)
         key = int(seed) & _MASK
         if stream:
             key ^= _fnv1a64(stream)
@@ -129,15 +131,12 @@ class CounterRng:
 
     def skip(self, n: int) -> None:
         """Consume n counter values without computing their words."""
-        if n < 0:
-            raise ValueError(f"skip: n must be >= 0, got {n}")
-        self._counter += n
+        _check_integer("n", n, 0)
+        self._counter += int(n)
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals by Box-Muller; consumes 2n counter values."""
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError(f"normals: n must be >= 0, got {n}")
+        _check_integer("n", n, 0)
         u = self.peek(2 * n)
         self.skip(2 * n)
         return _box_muller(u)

@@ -24,7 +24,7 @@ from dynact.activations import (
     isru,
     scaled_dyt,
 )
-from dynact.core_math import _row_mean, layer_norm, ln_derivative_analytic
+from dynact.core_math import _check_integer, _row_mean, layer_norm, ln_derivative_analytic
 from dynact.rng import CounterRng, _box_muller
 
 FD_STEP = 1e-5
@@ -137,10 +137,9 @@ def check_theorem1(
     abs_tol: float = 1e-8,
 ) -> CheckResult:
     """Analytic LN derivative vs central finite differences, on (trials, C) batches."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if any(c < 2 for c in c_list):
-        raise ValueError("every channel count must be >= 2")
+    _check_integer("trials", trials, 1)
+    for c in c_list:
+        _check_integer("c_list entry", c, 2)
     rng = CounterRng(seed, "ln_derivative_vs_fd")
     abs_errs, rel_errs = [], []
     for c in c_list:
@@ -210,8 +209,7 @@ def check_theorem3() -> CheckResult:
 
 def check_theorem4(seed: int, trials: int = 500) -> CheckResult:
     """Channel-exact beta makes DyISRU centered on the mean reproduce layer_norm to 1e-10."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_integer("trials", trials, 1)
     rng = CounterRng(seed, "channel_exact_beta_vs_ln")
     # the channel counts come first, so that the vectors are drawn in order of C
     cs = sorted(rng.randint(2, 100) for _ in range(trials))
@@ -232,8 +230,7 @@ def check_theorem4(seed: int, trials: int = 500) -> CheckResult:
 
 def check_isru_equivalence(seed: int, trials: int = 500) -> CheckResult:
     """sqrt(beta) * dyisru(x; beta, C) = sqrt(C-1) * isru(x; 1/beta), to 1e-12 relative."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_integer("trials", trials, 1)
     rng = CounterRng(seed, "dyisru_isru_equivalence")
     abs_errs, rel_errs = [], []
     for _ in range(trials):

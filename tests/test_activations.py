@@ -47,6 +47,9 @@ class TestParams:
             DyISRUParams(1.0, 2.5)
         # a per-channel beta must be > 0 in every entry
         DyISRUParams(beta=np.array([0.5, 2.0]), channels=2)
+        DyISRUParams(beta=[1.0, 2.0], channels=3)  # array-like: compared as an array on both sides
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            DyISRUParams(beta=[1.0, math.inf], channels=3)
         with pytest.raises(ValueError):
             DyISRUParams(beta=np.array([0.5, 0.0]), channels=2)
         for bad in (math.inf, math.nan):

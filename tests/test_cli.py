@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,28 @@ class TestFit:
         out = tmp_path / "f"
         assert run("fit", "--input", csv, "--kind", "dyt", "--channels", 10, "--out", out) == 2
         assert "row 3: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows", ["-1.0,-0.5\n-2.0,-0.9\n-3.0,-1.2\n", "2.0,0.9\n"], ids=["no-positive-x", "one-point"]
+    )
+    def test_sparse_residual_panel_renders(self, tmp_path, rows):
+        # no point with x > 0 leaves the residual panel empty; one point gives it a single x
+        csv = tmp_path / "xy.csv"
+        csv.write_text(rows)
+        out = tmp_path / "f"
+        assert run("fit", "--input", csv, "--kind", "dyisru", "--channels", 100, "--out", out) == 0
+        svg = (out / "fit_dyisru.svg").read_text()
+        ET.fromstring(svg)
+        assert "nan" not in svg and "inf" not in svg
+
+    def test_single_self_mirrored_point_is_usage_error(self, tmp_path, capsys):
+        # (0, 0) is its own mirror, so the fit gets one point
+        csv = tmp_path / "origin.csv"
+        csv.write_text("0,0\n")
+        out = tmp_path / "f"
+        assert run("fit", "--input", csv, "--kind", "dyisru", "--channels", 100, "--out", out) == 2
+        assert "fit needs at least 2 points" in capsys.readouterr().err
         assert not out.exists()
 
     def test_degenerate_data_exits_one(self, tmp_path):

@@ -345,6 +345,13 @@ class TestFitResult:
         with pytest.raises(ValueError, match=rf"^n_original must be in \[1, 3\], got {n_original}$"):
             FitDataset([1.0, 2.0, 3.0], [0.5, 0.9, 1.2], channels=10, n_original=n_original)
 
+    def test_n_original_must_be_an_integer(self):
+        # 1.5 used to pass the range test and fail later in fit_dyt's slice
+        with pytest.raises(ValueError, match=r"^n_original must be an integer, got 1\.5$"):
+            FitDataset([1.0, 2.0, 3.0], [0.5, 0.9, 1.2], channels=10, n_original=1.5)
+        data = FitDataset([1.0, 2.0, 3.0], [0.5, 0.9, 1.2], channels=10, n_original=np.int64(2))
+        assert data.n_original == 2
+
 
 class TestFitDataset:
     @pytest.mark.parametrize(

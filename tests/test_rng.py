@@ -102,6 +102,23 @@ def test_negative_n_raises_and_leaves_the_counter(n):
     assert rng.u64() == untouched.u64()
 
 
+def test_seed_and_counts_must_be_integers():
+    # a float seed used to be truncated, and skip(2.5) left a float counter that peek truncated
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        CounterRng(1.5, "sample_base")
+    rng, untouched = CounterRng(7, "sample_base"), CounterRng(7, "sample_base")
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+        rng.skip(2.5)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+        rng.normals(2.5)
+    assert rng.u64() == untouched.u64()
+    rng.skip(np.int64(2))
+    assert type(rng._counter) is int
+    untouched.skip(2)
+    assert rng.u64() == untouched.u64()
+    assert CounterRng(np.uint64(7), "sample_base").u64() == CounterRng(7, "sample_base").u64()
+
+
 def test_peek_reads_ahead_and_skip_consumes():
     rng, ref = CounterRng(3, "channel_exact_beta_vs_ln"), CounterRng(3, "channel_exact_beta_vs_ln")
     rng.u64(), ref.u64()

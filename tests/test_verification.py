@@ -34,16 +34,24 @@ class TestIndividualChecks:
         assert abs(fd[0]) <= 1e-8
 
     def test_trials_precondition(self):
-        with pytest.raises(ValueError):
-            check_theorem1(seed=1, trials=0)
-        with pytest.raises(ValueError):
-            check_theorem4(seed=1, trials=0)
-        with pytest.raises(ValueError):
-            check_isru_equivalence(seed=1, trials=0)
+        for check in (check_theorem1, check_theorem4, check_isru_equivalence):
+            with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
+                check(seed=1, trials=0)
+            # a float count used to end in a TypeError
+            with pytest.raises(ValueError, match=r"^trials must be an integer, got 2\.5$"):
+                check(seed=1, trials=2.5)
 
     def test_channel_precondition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^c_list entry must be >= 2, got 1$"):
             check_theorem1(seed=1, trials=1, c_list=(1,))
+        with pytest.raises(ValueError, match=r"^c_list entry must be an integer, got 2\.5$"):
+            check_theorem1(seed=1, trials=1, c_list=(2.5,))
+
+    def test_seed_must_be_an_integer(self):
+        # seed 1.5 used to run seed 1's streams under the name 1.5
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            run_all_checks(1.5, 3)
+        assert run_all_checks(np.int64(1), 3).to_dict() == run_all_checks(1, 3).to_dict()
 
     def test_dyt_ode_identity(self):
         result = check_theorem2()
@@ -230,7 +238,8 @@ def _oracle_theorem4(seed, trials):
         x, redrawn = _reference_draw(rng, c)
         redraws += redrawn
         y = layer_norm(x)
-        beta = np.array([max(beta_exact(x, k), BETA_MIN) for k in range(c)])
+        floor = BETA_MIN * np.mean((x - np.mean(x)) ** 2)  # the check's floor: relative to the row variance
+        beta = np.array([max(beta_exact(x, k), floor) for k in range(c)])
         d = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=float(np.mean(x))))
         abs_err = np.abs(d - y)
         abs_errs.append(abs_err.max())
