@@ -116,5 +116,5 @@ def beta_exact(x, i):
     dev, var = _centered(arr, keepdims=i.ndim > 0)
     sq = dev * dev
     # (C-1) * var_excluding_i is just the deviation sum of squares without i
-    beta = np.sum(sq, axis=-1, keepdims=i.ndim > 0) - sq[..., i] - var
+    beta = np.add.reduce(sq, axis=-1, keepdims=i.ndim > 0) - sq[..., i] - var
     return float(beta) if np.ndim(beta) == 0 else beta

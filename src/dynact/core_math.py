@@ -60,15 +60,17 @@ def _row_mean(arr: np.ndarray, keepdims: bool = True) -> np.ndarray:
     return np.add.reduce(arr, axis=-1, keepdims=keepdims) / arr.shape[-1]
 
 
+def _nondegenerate(var: np.ndarray) -> np.ndarray:
+    """The row variances var, unless one is at or below VAR_EPSILON (a (near-)constant row)."""
+    if (var <= VAR_EPSILON).any():
+        raise DegenerateVariance(f"variance {np.min(var):.3g} is at or below the degeneracy threshold {VAR_EPSILON:.0e}")
+    return var
+
+
 def _centered(arr: np.ndarray, keepdims: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Row deviations x - mean and population variances; refuses a (near-)constant row."""
     dev = arr - _row_mean(arr)
-    var = _row_mean(dev**2, keepdims)
-    if (var <= VAR_EPSILON).any():
-        raise DegenerateVariance(
-            f"variance {np.min(var):.3g} is at or below the degeneracy threshold {VAR_EPSILON:.0e}"
-        )
-    return dev, var
+    return dev, _nondegenerate(_row_mean(dev**2, keepdims))
 
 
 def layer_norm(x) -> np.ndarray:

@@ -121,12 +121,13 @@ class CounterRng:
         Modulo bias: each value's probability is within a relative
         r / 2**64 of 1/r, e.g. below 6e-18 for r = 100.
         """
-        if high < low:
-            raise ValueError("empty range")
-        return low + self.u64() % (high - low + 1)
+        _check_integer("low", low)
+        _check_integer("high", high, low)  # an empty range is refused too
+        return int(low) + self.u64() % (int(high) - int(low) + 1)
 
     def peek(self, n: int) -> np.ndarray:
         """The next n words as uint64, without consuming them."""
+        _check_integer("n", n, 0)
         return _words(self._key, self._counter + 1, n)
 
     def skip(self, n: int) -> None:

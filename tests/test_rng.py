@@ -119,6 +119,27 @@ def test_seed_and_counts_must_be_integers():
     assert CounterRng(np.uint64(7), "sample_base").u64() == CounterRng(7, "sample_base").u64()
 
 
+def test_peek_and_randint_refuse_non_integers():
+    # peek(2.5) used to return 3 words and peek(-1) none; randint(0, 2.5) returned the float 1.5
+    rng, untouched = CounterRng(7, "sample_base"), CounterRng(7, "sample_base")
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+        rng.peek(2.5)
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        rng.peek(-1)
+    for low, high, message in [
+        (0, 2.5, r"^high must be an integer, got 2\.5$"),
+        (0.5, 3, r"^low must be an integer, got 0\.5$"),
+        (3, 2, r"^high must be >= 3, got 2$"),  # an empty range
+    ]:
+        with pytest.raises(ValueError, match=message):
+            rng.randint(low, high)
+    assert rng.u64() == untouched.u64()
+    assert rng.peek(np.int64(2)).tolist() == untouched.peek(2).tolist()
+    # numpy integer bounds give the int that Python ints give (the word used to overflow int64)
+    got = rng.randint(np.int64(0), np.int64(999))
+    assert type(got) is int and got == untouched.randint(0, 999)
+
+
 def test_peek_reads_ahead_and_skip_consumes():
     rng, ref = CounterRng(3, "channel_exact_beta_vs_ln"), CounterRng(3, "channel_exact_beta_vs_ln")
     rng.u64(), ref.u64()

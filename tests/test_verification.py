@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -126,6 +127,84 @@ class TestIndividualChecks:
         result = check_theorem2()
         assert result.trials == 0
         assert result.passed is False
+
+
+def _layer_norm_diagonal_fd(x):
+    """Oracle: the diagonal of layer_norm over each whole (..., C, C) perturbed stack."""
+    rows = np.asarray(x, dtype=np.float64)[..., None, :]
+    bump = np.eye(rows.shape[-1]) * verification.FD_STEP
+    plus, minus = (np.diagonal(layer_norm(m), 0, -2, -1) for m in (rows + bump, rows - bump))
+    return (plus - minus) / (2.0 * verification.FD_STEP)
+
+
+class TestFiniteDifferenceReference:
+    # 130 channels cross numpy's 128-element pairwise-summation block
+    @pytest.mark.parametrize("c", [2, 3, 10, 100, 130])
+    def test_equals_layer_norm_diagonal_bit_for_bit(self, c):
+        gen = np.random.default_rng(c)
+        scales = 10.0 ** gen.uniform(-3.0, 3.0, size=(6, 1))
+        offsets = 10.0 ** gen.uniform(-3.0, 3.0, size=(6, 1)) * gen.choice([-1.0, 1.0], size=(6, 1))
+        stack = offsets + scales * gen.standard_normal((6, c))
+        stack[0, 0] = -0.0
+        for x in (stack[0], stack[1], stack[:1], stack):
+            got, want = ln_derivative_fd(x), _layer_norm_diagonal_fd(x)
+            assert got.shape == want.shape == x.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "x",
+        [[1.0, np.nan, 2.0], [[1.0, 2.0], [np.inf, 0.0]], [1.0], [[1.0], [2.0]], [1e12, 1e12]],
+        ids=["nan", "inf-row", "one-channel", "one-channel-rows", "bump-below-half-ulp"],
+    )
+    def test_refuses_what_layer_norm_refuses(self, x):
+        # 1e12 + FD_STEP rounds back to 1e12, so the last vector's bumped rows stay
+        # constant: a DegenerateVariance
+        with pytest.raises(ValueError):
+            _layer_norm_diagonal_fd(x)
+        with pytest.raises(ValueError):
+            ln_derivative_fd(x)
+
+    def test_memory_stays_bounded(self):
+        # whole (3, 100, 100) reference stacks at C = 100 peak at 1.15 MB; one
+        # trial's stack, centered and squared in place, keeps the peak near 0.2 MB
+        tracemalloc.start()
+        try:
+            check_theorem1(seed=1, trials=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5e6
+
+
+def _oracle_theorem3():
+    """Check 3 as one scalar-parameter pass per (beta, C, mu) case."""
+    abs_errs, rel_errs, n_points = [], [], 0
+    for beta in (0.5, 1.0, 301.1):
+        for c in verification._CHANNELS:
+            for mu in (0.0, 2.5):
+                x = verification._GRID[verification._GRID != mu]
+                u = x - mu
+                n_points += u.size
+                root = math.sqrt(c - 1)
+                y = dyisru(x, DyISRUParams(beta=beta, channels=c, mu=mu))
+                lhs = (root * beta / (beta + u * u) ** 1.5) * ((c - 1) / c)
+                rhs = (1.0 / c) * (y / u) * (c - 1 - y * y)
+                abs_err = np.abs(lhs - rhs)
+                abs_errs.append(abs_err.max(initial=0.0))
+                rel_errs.append((abs_err / np.maximum(np.abs(rhs), verification._TINY)).max(initial=0.0))
+    return verification._result("dyisru_general_ode_identity", n_points, abs_errs, rel_errs, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [None, [-3.0, 0.0, 1.0, 2.0, 4.5], [-1e3, 0.0, 2.5, 7.0], [2.5, -0.5, 60.0]],
+    ids=["default", "mu0-excluded", "both-excluded", "mu2.5-excluded"],
+)
+def test_check_theorem3_matches_per_case_oracle(monkeypatch, grid):
+    # the mu = 0 and mu = 2.5 exclusions leave rows of different lengths
+    if grid is not None:
+        monkeypatch.setattr(verification, "_GRID", np.array(grid))
+    assert check_theorem3() == _oracle_theorem3()
 
 
 class TestReport:
