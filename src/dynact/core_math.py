@@ -76,7 +76,8 @@ def _centered(arr: np.ndarray, keepdims: bool = True) -> tuple[np.ndarray, np.nd
 def layer_norm(x) -> np.ndarray:
     """Center and scale: y_i = (x_i - mean) / sqrt(population variance)."""
     dev, var = _centered(as_channel_vector(x))
-    return dev / np.sqrt(var)
+    # dev is _centered's own array, so it takes the result
+    return np.divide(dev, np.sqrt(var), out=dev)
 
 
 def ln_derivative_analytic(x, i):

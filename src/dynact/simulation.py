@@ -130,9 +130,14 @@ def _flag(text: str) -> int:
     return flag
 
 
-# the converter of each column, and the index of y, whose texts rarely repeat
+# the converter of each column, and the index of y, whose texts rarely repeat; x is the
+# column before y
 _SCENARIO_COLUMNS = (int, _channel, float, float, _flag), 3
 _XY_COLUMNS = (float, float), 1
+
+# characters of unquoted text converted at a time; a block ends at the first line end
+# this far past its start
+_BLOCK = 1 << 16
 
 
 def _reader_rows(text: str) -> list[list[str]]:
@@ -143,6 +148,20 @@ def _reader_rows(text: str) -> list[list[str]]:
     except csv.Error as exc:
         raise ValueError(f"row {len(rows) + 1}: {exc}") from exc
     return rows
+
+
+def _line_blocks(text: str):
+    """Yield the lines of text, without their line ends and without copying the whole text,
+    in blocks of about _BLOCK characters cut at line ends; a final line end ends no line.
+    """
+    stop = len(text) - text.endswith("\n")
+    pos = 0
+    while pos <= stop:
+        end = text.find("\n", pos + _BLOCK, stop)
+        if end < 0:
+            end = stop
+        yield text[pos:end].split("\n")
+        pos = end + 1
 
 
 def _columns(rows: list, width: int, plain: bool) -> list[list[str]] | None:
@@ -159,12 +178,6 @@ def _columns(rows: list, width: int, plain: bool) -> list[list[str]] | None:
             return None
         flat = list(chain.from_iterable(rows))
     return [flat[k::width] for k in range(width)]
-
-
-def _convert_distinct(column: list[str], convert) -> list:
-    """convert of every text of column, each distinct text converted once."""
-    table = {text: convert(text) for text in set(column)}
-    return list(map(table.__getitem__, column))
 
 
 def _raise_first_bad_row(rows: list[list[str]], first: int, types: tuple) -> None:
@@ -193,31 +206,37 @@ def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | 
     if not text:
         raise ValueError("empty CSV")
     # read_text's universal newlines leave no CR, so without quotes csv.reader's rows
-    # are exactly the lines cut at commas
+    # are exactly the lines cut at commas; quoted text is read whole, so that a
+    # csv.Error is raised before any value
     plain = '"' not in text
-    rows = text.removesuffix("\n").split("\n") if plain else _reader_rows(text)
+    blocks = _line_blocks(text) if plain else iter([_reader_rows(text)])
+    rows = next(blocks)
     header = [h.strip().lower() for h in (rows[0].split(",") if plain else rows[0])]
     scenario = header == CSV_HEADER
     types, y = _SCENARIO_COLUMNS if scenario else _XY_COLUMNS
     first = 2 if scenario or header == ["x", "y"] else 1
-    data = rows[first - 1:]
-    columns = _columns(data, len(types), plain)
-    try:
-        if columns is None:
-            raise ValueError("bad row width")
-        # a scenario CSV repeats its s, channel, flag and (the base sample's) x texts
-        values = [
-            list(map(convert, column)) if k == y else _convert_distinct(column, convert)
-            for k, (convert, column) in enumerate(zip(types, columns))
-        ]
-    except ValueError:
-        # a whole-column conversion cannot say which row failed
-        if plain:
-            # csv.reader reads a blank line as a row of no fields
-            data = [line.split(",") if line else [] for line in data]
-        _raise_first_bad_row(data, first, types)
-        raise
+    # every column but y converts each distinct text once, in tables kept across blocks:
+    # a scenario CSV repeats its s, channel, flag and (the base sample's) x texts
+    tables = [{} for _ in types]
+    points = []
+    for rows in chain([rows[first - 1:]], blocks):
+        columns = _columns(rows, len(types), plain)
+        try:
+            if columns is None:
+                raise ValueError("bad row width")
+            for k, (convert, column, table) in enumerate(zip(types, columns, tables)):
+                if k != y:
+                    table.update((text, convert(text)) for text in set(column).difference(table))
+            pairs = zip(map(tables[y - 1].__getitem__, columns[y - 1]), map(float, columns[y]))
+            points.extend(compress(pairs, map(tables[-1].__getitem__, columns[-1])) if scenario else pairs)
+        except ValueError:
+            # a whole-column conversion cannot say which row failed
+            if plain:
+                # csv.reader reads a blank line as a row of no fields
+                rows = [line.split(",") if line else [] for line in rows]
+            _raise_first_bad_row(rows, first, types)
+            raise
+        first += len(rows)
     if not scenario:
-        return list(zip(*values)), None
-    _s, channel, xs, ys, flags = values
-    return list(compress(zip(xs, ys), flags)), max(channel, default=-1) + 1
+        return points, None
+    return points, max(tables[1].values(), default=-1) + 1

@@ -1,12 +1,15 @@
 import csv
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynact import simulation
 from dynact.core_math import layer_norm
 from dynact.rng import CounterRng
 from dynact.simulation import (
@@ -331,6 +334,59 @@ class TestCsv:
         copy.write_bytes("".join(rewrite(line) + "\n" for line in text.splitlines()).encode())
         assert repr(read_points_csv(copy)) == repr(read_points_csv(plain))
 
+    @pytest.mark.parametrize("s_max", [16, 67])
+    def test_memory_stays_bounded(self, tmp_path, s_max):
+        # the C = 1024 scenario of the artifacts benchmark, and one about 4x taller:
+        # the reader holds at most the file's bytes and text, or its text and one block
+        # of rows
+        path = tmp_path / "scenario.csv"
+        path.write_text(scenario_to_csv(run_scenario(SimulationConfig(channels=1024, s_max=s_max, seed=3))))
+        tracemalloc.start()
+        try:
+            points, channels = read_points_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(points), channels) == (s_max, 1024)
+        assert peak <= 2.5 * path.stat().st_size + 2**20
+
+    def test_bad_row_in_last_block(self, tmp_path):
+        text = scenario_to_csv(run_scenario(SimulationConfig(channels=1024, s_max=16, seed=3)))
+        assert len(text) > 10 * simulation._BLOCK
+        lines = text.splitlines()
+        lines[-1] = lines[-1][:-1] + "2"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_points_csv(path)
+        assert str(info.value) == f"row {len(lines)}: is_outlier must be 0 or 1, got '2'"
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            # a bad row in the last block, whichever block that is
+            ("x,y\n1.0,2.0\n3.0,4.0\n5.0,zz\n", "ValueError(row 4: could not convert string to float: 'zz')"),
+            # a blank line, which some block size puts right at a block end
+            ("x,y\n1.0,2.0\n\n3.0,4.0\n", "ValueError(row 3: expected 2 columns, got 0)"),
+            ("x,y\n1.0,2.0\n3.0,4.0\n\n", "ValueError(row 4: expected 2 columns, got 0)"),
+            # a header-only file, with and without a line end
+            ("s,channel,x,y,is_outlier\n", "([], 0)"),
+            ("x,y", "([], None)"),
+            # the largest channel is in the first block only
+            ("s,channel,x,y,is_outlier\n0,7,1.0,0.5,0\n1,0,2.0,0.7,1\n1,1,3.0,0.8,0\n", "([(2.0, 0.7)], 8)"),
+            # the last line has no line end
+            ("1.0,2.0\n3.0,4.0", "([(1.0, 2.0), (3.0, 4.0)], None)"),
+            ('x,y\n1.0,2.0\n"3.0",4.0', "([(1.0, 2.0), (3.0, 4.0)], None)"),
+        ],
+    )
+    def test_every_block_size_reads_the_same(self, tmp_path, text, expected):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert _read(path) == expected
+        for block in range(len(text) + 1):
+            with mock.patch.object(simulation, "_BLOCK", block):
+                assert _read(path) == expected, block
+
 
 def _oracle_read_points_csv(path):
     """read_points_csv as csv.reader rows and one int/float call per field, row by row."""
@@ -396,17 +452,25 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "in.csv"
 
 
+def _read(path, reader=read_points_csv):
+    """repr of reader's result, or ValueError(message)."""
+    try:
+        return repr(reader(path))
+    except ValueError as exc:
+        return f"ValueError({exc})"
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=_csv_texts())
 def test_reader_matches_per_row_oracle(csv_path, text):
-    path = csv_path
-    path.write_bytes(text.encode("utf-8"))
-    try:
-        want = repr(_oracle_read_points_csv(path))
-    except ValueError as exc:
-        want = f"ValueError({exc})"
-    try:
-        got = repr(read_points_csv(path))
-    except ValueError as exc:
-        got = f"ValueError({exc})"
-    assert got == want
+    csv_path.write_bytes(text.encode("utf-8"))
+    assert _read(csv_path) == _read(csv_path, _oracle_read_points_csv)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_csv_texts(), block=st.integers(0, 16))
+def test_reader_matches_per_row_oracle_across_block_ends(csv_path, text, block):
+    # blocks of a few characters put block ends between every pair of rows
+    csv_path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(simulation, "_BLOCK", block):
+        assert _read(csv_path) == _read(csv_path, _oracle_read_points_csv)
