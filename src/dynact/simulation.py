@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
@@ -139,6 +140,16 @@ _XY_COLUMNS = (float, float), 1
 # this far past its start
 _BLOCK = 1 << 16
 
+# rows as scenario_to_csv writes them: digits for s and channel (at most 18, which
+# int64 holds and int() accepts whatever its digit limit), the shape of a finite
+# float's repr for x and y, and a 0 or 1 flag; every field converts without error.
+# A row parses one way only, so the greedy repeat's match ends at the block's end
+# exactly when the block fullmatches, and a block that fails does not backtrack.
+_INT = "[0-9]{1,18}"
+_NUM = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
+_ROW = f"{_INT},{_INT},{_NUM},{_NUM},[01]"
+_SCENARIO_ROWS = re.compile(f"{_ROW}(?:\n{_ROW})*")
+
 
 def _reader_rows(text: str) -> list[list[str]]:
     """csv.reader's rows of text; a csv.Error becomes a ValueError naming its row."""
@@ -150,18 +161,36 @@ def _reader_rows(text: str) -> list[list[str]]:
     return rows
 
 
-def _line_blocks(text: str):
-    """Yield the lines of text, without their line ends and without copying the whole text,
-    in blocks of about _BLOCK characters cut at line ends; a final line end ends no line.
+def _line_blocks(text: str, pos: int):
+    """Yield text from pos on, without copying the whole text, in blocks of about _BLOCK
+    characters cut at line ends; the line end at a cut and a final line end are dropped.
     """
     stop = len(text) - text.endswith("\n")
-    pos = 0
     while pos <= stop:
         end = text.find("\n", pos + _BLOCK, stop)
         if end < 0:
             end = stop
-        yield text[pos:end].split("\n")
+        yield text[pos:end]
         pos = end + 1
+
+
+def _scenario_block(block: str) -> tuple[list[tuple[float, float]], int, int]:
+    """The flagged (x, y) pairs, the largest channel and the row count of a block of
+    rows that fullmatches _SCENARIO_ROWS.
+    """
+    data = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    # each row has four commas; its channel is the digits between the first two, read
+    # right-aligned in the widest channel's width, positions before a row's channel
+    # (negative ones wrap) counting 0
+    commas = np.flatnonzero(data == ord(",")).reshape(-1, 4)
+    start, stop = commas[:, 0] + 1, commas[:, 1]
+    width = int((stop - start).max())
+    at = stop[:, None] - np.arange(width, 0, -1)
+    digits = np.where(at >= start[:, None], data[at].astype(np.int64) - ord("0"), 0)
+    channel = int((digits @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)).max())
+    flagged = commas[data[commas[:, 3] + 1] == ord("1"), 1:]
+    points = [(float(block[a + 1:b]), float(block[b + 1:c])) for a, b, c in flagged.tolist()]
+    return points, channel, len(commas)
 
 
 def _columns(rows: list, width: int, plain: bool) -> list[list[str]] | None:
@@ -209,17 +238,32 @@ def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | 
     # are exactly the lines cut at commas; quoted text is read whole, so that a
     # csv.Error is raised before any value
     plain = '"' not in text
-    blocks = _line_blocks(text) if plain else iter([_reader_rows(text)])
-    rows = next(blocks)
-    header = [h.strip().lower() for h in (rows[0].split(",") if plain else rows[0])]
+    if plain:
+        end = text.find("\n")
+        if end < 0:
+            end = len(text)
+        header = text[:end].split(",")
+    else:
+        rows = _reader_rows(text)
+        header = rows[0]
+    header = [h.strip().lower() for h in header]
     scenario = header == CSV_HEADER
     types, y = _SCENARIO_COLUMNS if scenario else _XY_COLUMNS
     first = 2 if scenario or header == ["x", "y"] else 1
+    blocks = _line_blocks(text, 0 if first == 1 else end + 1) if plain else [rows[first - 1:]]
     # every column but y converts each distinct text once, in tables kept across blocks:
     # a scenario CSV repeats its s, channel, flag and (the base sample's) x texts
     tables = [{} for _ in types]
     points = []
-    for rows in chain([rows[first - 1:]], blocks):
+    channel = -1
+    for block in blocks:
+        if plain and scenario and (match := _SCENARIO_ROWS.match(block)) and match.end() == len(block):
+            block_points, block_channel, count = _scenario_block(block)
+            points.extend(block_points)
+            channel = max(channel, block_channel)
+            first += count
+            continue
+        rows = block.split("\n") if plain else block
         columns = _columns(rows, len(types), plain)
         try:
             if columns is None:
@@ -239,4 +283,4 @@ def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | 
         first += len(rows)
     if not scenario:
         return points, None
-    return points, max(tables[1].values(), default=-1) + 1
+    return points, max(channel, max(tables[1].values(), default=-1)) + 1

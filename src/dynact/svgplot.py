@@ -44,6 +44,14 @@ class Panel:
     hlines: list = field(default_factory=list)  # y values of dashed horizontal lines
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """lo, hi; a zero-width range widens by 0.5, or by one float spacing where 0.5 would vanish."""
+    if lo != hi:
+        return lo, hi
+    w = max(0.5, math.ulp(lo))
+    return lo - w, hi + w
+
+
 def _data_bounds(panel: Panel) -> tuple[float, float, float, float]:
     xs: list[float] = []
     ys: list[float] = []
@@ -53,12 +61,8 @@ def _data_bounds(panel: Panel) -> tuple[float, float, float, float]:
     ys.extend(panel.hlines)
     if not xs or not ys:
         return 0.0, 1.0, 0.0, 1.0
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if x0 == x1:
-        x0, x1 = x0 - 0.5, x1 + 0.5
-    if y0 == y1:
-        y0, y1 = y0 - 0.5, y1 + 0.5
+    x0, x1 = _widened(min(xs), max(xs))
+    y0, y1 = _widened(min(ys), max(ys))
     px, py = 0.05 * (x1 - x0), 0.05 * (y1 - y0)
     return x0 - px, x1 + px, y0 - py, y1 + py
 
@@ -76,6 +80,9 @@ def _ticks(lo: float, hi: float) -> list[float]:
     t = first
     while t <= hi + 1e-12 * span:
         out.append(0.0 if abs(t) < 1e-12 * span else t)
+        if t + step == t:
+            # the step is below half the float spacing at t, so no later tick exists
+            break
         t += step
     return out
 

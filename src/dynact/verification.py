@@ -26,7 +26,7 @@ from dynact.activations import (
 )
 from dynact.core_math import _check_integer, _nondegenerate, _row_mean, as_channel_vector
 from dynact.core_math import layer_norm, ln_derivative_analytic
-from dynact.rng import CounterRng, _box_muller
+from dynact.rng import _TWO_POW_MINUS_53, _U11, CounterRng, _box_muller
 
 FD_STEP = 1e-5
 
@@ -242,11 +242,18 @@ def check_isru_equivalence(seed: int, trials: int = 500) -> CheckResult:
     """sqrt(beta) * dyisru(x; beta, C) = sqrt(C-1) * isru(x; 1/beta), to 1e-12 relative."""
     _check_integer("trials", trials, 1)
     rng = CounterRng(seed, "dyisru_isru_equivalence")
+    # each trial takes three words, as rng.randint(2, 100), rng.uniform(-50.0, 50.0) and
+    # rng.uniform(-3.0, 6.0); the uniforms' scaling is exact up to the product and sum,
+    # which round as in the scalar calls
+    words = rng.peek(3 * trials).reshape(trials, 3)
+    rng.skip(3 * trials)
+    cs = (2 + words[:, 0] % np.uint64(99)).tolist()
+    halfopen = (words[:, 1:] >> _U11).astype(np.float64) * _TWO_POW_MINUS_53
+    xs = (-50.0 + 100.0 * halfopen[:, 0]).tolist()
+    us = (-3.0 + 9.0 * halfopen[:, 1]).tolist()
     abs_errs, rel_errs = [], []
-    for _ in range(trials):
-        c = rng.randint(2, 100)
-        x = rng.uniform(-50.0, 50.0)
-        beta = 10.0 ** rng.uniform(-3.0, 6.0)
+    for c, x, u in zip(cs, xs, us):
+        beta = 10.0 ** u
         lhs = math.sqrt(beta) * float(dyisru(x, DyISRUParams(beta=beta, channels=c)))
         rhs = math.sqrt(c - 1) * float(isru(x, 1.0 / beta))
         abs_err = abs(lhs - rhs)

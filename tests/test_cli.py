@@ -132,6 +132,33 @@ class TestSimulate:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma, seed", [(6, 0), (4, 2)])
+    def test_axis_far_above_two_pow_53_renders(self, tmp_path, sigma, seed):
+        # at 1e17 floats are 16 apart: seed 0's x tick step of 5.0 once never advanced
+        # (an endless, ever-growing tick list) and seed 2's zero-width y range once stayed
+        # zero-width (log10(0)); a child with a timeout and an address-space limit keeps
+        # either failure from hanging the suite
+        resource = pytest.importorskip("resource")
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        out = tmp_path / "sim"
+        argv = ["simulate", "--mu", "1e17", "--sigma", str(sigma), "--channels", "8", "--s-max", "1"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynact.cli", *argv, "--seed", str(seed), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for frame in (0, 1):
+            ET.parse(out / f"frame_s{frame}.svg")
+
     def test_json_lists_directory(self, tmp_path, capsys):
         out = tmp_path / "sim"
         assert run("simulate", "--seed", 0, "--s-max", 2, "--out", out, "--json") == 0

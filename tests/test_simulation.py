@@ -1,12 +1,13 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynact import simulation
@@ -361,6 +362,16 @@ class TestCsv:
             read_points_csv(path)
         assert str(info.value) == f"row {len(lines)}: is_outlier must be 0 or 1, got '2'"
 
+    def test_simulate_csv_skips_the_column_path(self, tmp_path):
+        # every block of rows as scenario_to_csv writes them matches the row grammar
+        scenario = run_scenario(SimulationConfig(channels=1024, s_max=16, seed=3))
+        text = scenario_to_csv(scenario)
+        assert len(text) > 10 * simulation._BLOCK
+        path = tmp_path / "scenario.csv"
+        path.write_text(text)
+        with mock.patch.object(simulation, "_columns", side_effect=AssertionError("column path")):
+            assert read_points_csv(path) == (outlier_points(scenario), 1024)
+
     @pytest.mark.parametrize(
         "text,expected",
         [
@@ -386,6 +397,17 @@ class TestCsv:
         for block in range(len(text) + 1):
             with mock.patch.object(simulation, "_BLOCK", block):
                 assert _read(path) == expected, block
+
+
+@settings(max_examples=2000, deadline=None)
+@given(v=st.floats(allow_nan=False, allow_infinity=False))
+@example(v=5e-324)
+@example(v=-1.7976931348623157e308)
+@example(v=1e16)
+@example(v=1e-05)
+@example(v=-0.0)
+def test_repr_of_a_finite_float_matches_the_row_grammar(v):
+    assert re.fullmatch(simulation._NUM, repr(v))
 
 
 def _oracle_read_points_csv(path):
@@ -414,8 +436,10 @@ def _oracle_read_points_csv(path):
 # end to csv.reader. The pools hold no negative channel and no int flag other than 0
 # or 1: read_points_csv refuses those rows, where the oracle misreads them.
 _FLOATS = ["0.25", "-2.0", " 1.5 ", "1_0", "inf", "-inf", "nan", "-0.0", "1e400", "1.0", "7"]
-_FLOATS += ["abc", "", "1,5", '1"5', "\x0c3", "4\x85"]
-_INTS = ["0", "3", "1_0", " 4 ", "+2", "1.0", "x", ""]
+_FLOATS += ["1e-05", "1.5e+20", "1e+400", "abc", "", "1,5", '1"5', "\x0c3", "4\x85"]
+# 19 digits and more fall outside the row grammar; past int()'s digit limit (Python 3.11
+# on), int refuses them
+_INTS = ["0", "3", "007", "9" * 19, "9" * 5000, "1_0", " 4 ", "+2", "1.0", "x", ""]
 _FLAGS = ["0", "1", " 1", "+1", "01", "0_0", "1.0", "y", ""]
 _SCENARIO_POOLS = [_INTS + ["-3"], _INTS, _FLOATS, _FLOATS, _FLAGS]
 _HEADERS = {
@@ -458,6 +482,26 @@ def _read(path, reader=read_points_csv):
         return repr(reader(path))
     except ValueError as exc:
         return f"ValueError({exc})"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # inside the row grammar
+        "0,999999999999999999,1.0,0.5,1\n007,007,1e-05,-1.5e+20,1",
+        "1,0,1e+400,-1e+400,1\n1,1,-0.0,0,0",
+        # outside it: 19 digits (above int64), int()'s digit limit, other float texts
+        "0,9999999999999999999,1.0,0.5,1",
+        "9" * 5000 + ",0,1.0,0.5,1",
+        "0,1,1.,.5,1\n0,2,1e5,1E+5,1",
+        "0,1,+1.0,0.5,1\n0,2,1.0,0.5,0",
+    ],
+)
+def test_reader_matches_per_row_oracle_at_the_row_grammar_edges(csv_path, rows):
+    csv_path.write_text("s,channel,x,y,is_outlier\n0,3,2.0,0.5,0\n" + rows + "\n")
+    for block in (0, 1 << 16):
+        with mock.patch.object(simulation, "_BLOCK", block):
+            assert _read(csv_path) == _read(csv_path, _oracle_read_points_csv)
 
 
 @settings(max_examples=400, deadline=None)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dynact import verification
-from dynact.activations import BETA_MIN, DyISRUParams, beta_exact, dyisru
+from dynact.activations import BETA_MIN, DyISRUParams, beta_exact, dyisru, isru
 from dynact.core_math import layer_norm, ln_derivative_analytic
 from dynact.rng import CounterRng
 from dynact.verification import (
@@ -342,6 +342,27 @@ def test_batched_checks_match_per_trial_oracle_with_redraws(monkeypatch, seed, t
 def test_batched_checks_match_per_trial_oracle(seed):
     assert check_theorem1(seed, 8) == _oracle_theorem1(seed, 8)[0]
     assert check_theorem4(seed, 60) == _oracle_theorem4(seed, 60)[0]
+
+
+def _oracle_isru_equivalence(seed, trials):
+    """Check 5 with its words drawn call by call: randint, uniform and uniform per trial."""
+    rng = CounterRng(seed, "dyisru_isru_equivalence")
+    abs_errs, rel_errs = [], []
+    for _ in range(trials):
+        c = rng.randint(2, 100)
+        x = rng.uniform(-50.0, 50.0)
+        beta = 10.0 ** rng.uniform(-3.0, 6.0)
+        lhs = math.sqrt(beta) * float(dyisru(x, DyISRUParams(beta=beta, channels=c)))
+        rhs = math.sqrt(c - 1) * float(isru(x, 1.0 / beta))
+        abs_errs.append(abs(lhs - rhs))
+        rel_errs.append(abs(lhs - rhs) / max(abs(rhs), verification._TINY))
+    return verification._result("dyisru_isru_equivalence", trials, abs_errs, rel_errs, 1e-12)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 50, 500])
+def test_check5_draws_match_per_trial_oracle(trials):
+    for seed in range(20):
+        assert check_isru_equivalence(seed, trials) == _oracle_isru_equivalence(seed, trials)
 
 
 # sha256 of _draw_vector's bytes over seeds 0-199, each seed one check 1 stream
