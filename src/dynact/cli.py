@@ -196,11 +196,16 @@ def _fit_figure(points: list[tuple[float, float]], results: list[FitResult], cha
 
 
 def _simulate_files(out: _Out, config: SimulationConfig, frames) -> OutlierScenario:
-    """The simulate step: scenario.csv and one frame_s<s>.svg per frame."""
+    """The simulate step: scenario.csv and one frame_s<s>.svg per frame.
+
+    Every frame is rendered before the first write, so a frame that fails to render
+    leaves --out as it was.
+    """
     scenario = run_scenario(config)
+    svgs = [render_figure([_frame_panel(scenario, s)]) for s in frames]
     out.write("scenario.csv", scenario_to_csv(scenario))
-    for s in frames:
-        out.write(f"frame_s{s}.svg", render_figure([_frame_panel(scenario, s)]))
+    for s, svg in zip(frames, svgs):
+        out.write(f"frame_s{s}.svg", svg)
     return scenario
 
 

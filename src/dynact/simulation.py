@@ -13,7 +13,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -117,25 +117,6 @@ def scenario_to_csv(scenario: OutlierScenario) -> str:
     return "".join(blocks)
 
 
-def _channel(text: str) -> int:
-    channel = int(text)
-    if channel < 0:
-        raise ValueError(f"channel must be >= 0, got {text!r}")
-    return channel
-
-
-def _flag(text: str) -> int:
-    flag = int(text)
-    if flag not in (0, 1):
-        raise ValueError(f"is_outlier must be 0 or 1, got {text!r}")
-    return flag
-
-
-# the converter of each column, and the index of y, whose texts rarely repeat; x is the
-# column before y
-_SCENARIO_COLUMNS = (int, _channel, float, float, _flag), 3
-_XY_COLUMNS = (float, float), 1
-
 # characters of unquoted text converted at a time; a block ends at the first line end
 # this far past its start
 _BLOCK = 1 << 16
@@ -149,16 +130,6 @@ _INT = "[0-9]{1,18}"
 _NUM = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
 _ROW = f"{_INT},{_INT},{_NUM},{_NUM},[01]"
 _SCENARIO_ROWS = re.compile(f"{_ROW}(?:\n{_ROW})*")
-
-
-def _reader_rows(text: str) -> list[list[str]]:
-    """csv.reader's rows of text; a csv.Error becomes a ValueError naming its row."""
-    rows = []
-    try:
-        rows.extend(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise ValueError(f"row {len(rows) + 1}: {exc}") from exc
-    return rows
 
 
 def _line_blocks(text: str, pos: int):
@@ -193,32 +164,41 @@ def _scenario_block(block: str) -> tuple[list[tuple[float, float]], int, int]:
     return points, channel, len(commas)
 
 
-def _columns(rows: list, width: int, plain: bool) -> list[list[str]] | None:
-    """The `width` columns of rows, or None if some row has another width.
+def _row_points(rows, n: int, scenario: bool, points: list) -> tuple[int, int]:
+    """Append the points of rows, the first of which is row n, to points; return the
+    largest channel (-1 if none) and the number of the row after the last.
 
-    Plain rows are lines not yet cut at their commas.
+    Each row's fields convert left to right. The first bad row, or a csv.Error met
+    while reading the rows, raises ValueError naming its row.
     """
-    if plain:
-        if any(line.count(",") != width - 1 for line in rows):
-            return None
-        flat = ",".join(rows).split(",") if rows else []
-    else:
-        if any(len(row) != width for row in rows):
-            return None
-        flat = list(chain.from_iterable(rows))
-    return [flat[k::width] for k in range(width)]
-
-
-def _raise_first_bad_row(rows: list[list[str]], first: int, types: tuple) -> None:
-    """Raise the error of the first row, counted from `first`, whose width or values misfit `types`."""
-    for n, row in enumerate(rows, start=first):
-        if len(row) != len(types):
-            raise ValueError(f"row {n}: expected {len(types)} columns, got {len(row)}")
-        try:
-            for convert, text in zip(types, row):
-                convert(text)
-        except ValueError as exc:
-            raise ValueError(f"row {n}: {exc}") from exc
+    channel = -1
+    try:
+        if scenario:
+            for row in rows:
+                s, c, x, y, flag = row
+                int(s)
+                if (c := int(c)) < 0:
+                    raise ValueError(f"channel must be >= 0, got {row[1]!r}")
+                x, y = float(x), float(y)
+                if (f := int(flag)) == 1:
+                    points.append((x, y))
+                elif f != 0:
+                    raise ValueError(f"is_outlier must be 0 or 1, got {flag!r}")
+                if c > channel:
+                    channel = c
+                n += 1
+        else:
+            for row in rows:
+                x, y = row
+                points.append((float(x), float(y)))
+                n += 1
+    except csv.Error as exc:
+        raise ValueError(f"row {n}: {exc}") from exc
+    except ValueError as exc:
+        width = 5 if scenario else 2
+        message = exc if len(row) == width else f"expected {width} columns, got {len(row)}"
+        raise ValueError(f"row {n}: {message}") from exc
+    return channel, n
 
 
 def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | None]:
@@ -235,8 +215,7 @@ def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | 
     if not text:
         raise ValueError("empty CSV")
     # read_text's universal newlines leave no CR, so without quotes csv.reader's rows
-    # are exactly the lines cut at commas; quoted text is read whole, so that a
-    # csv.Error is raised before any value
+    # are exactly the lines cut at commas; quoted text is streamed through csv.reader
     plain = '"' not in text
     if plain:
         end = text.find("\n")
@@ -244,43 +223,27 @@ def read_points_csv(path: str | Path) -> tuple[list[tuple[float, float]], int | 
             end = len(text)
         header = text[:end].split(",")
     else:
-        rows = _reader_rows(text)
-        header = rows[0]
-    header = [h.strip().lower() for h in header]
-    scenario = header == CSV_HEADER
-    types, y = _SCENARIO_COLUMNS if scenario else _XY_COLUMNS
-    first = 2 if scenario or header == ["x", "y"] else 1
-    blocks = _line_blocks(text, 0 if first == 1 else end + 1) if plain else [rows[first - 1:]]
-    # every column but y converts each distinct text once, in tables kept across blocks:
-    # a scenario CSV repeats its s, channel, flag and (the base sample's) x texts
-    tables = [{} for _ in types]
-    points = []
-    channel = -1
-    for block in blocks:
-        if plain and scenario and (match := _SCENARIO_ROWS.match(block)) and match.end() == len(block):
-            block_points, block_channel, count = _scenario_block(block)
-            points.extend(block_points)
-            channel = max(channel, block_channel)
-            first += count
-            continue
-        rows = block.split("\n") if plain else block
-        columns = _columns(rows, len(types), plain)
+        rows = csv.reader(io.StringIO(text))
         try:
-            if columns is None:
-                raise ValueError("bad row width")
-            for k, (convert, column, table) in enumerate(zip(types, columns, tables)):
-                if k != y:
-                    table.update((text, convert(text)) for text in set(column).difference(table))
-            pairs = zip(map(tables[y - 1].__getitem__, columns[y - 1]), map(float, columns[y]))
-            points.extend(compress(pairs, map(tables[-1].__getitem__, columns[-1])) if scenario else pairs)
-        except ValueError:
-            # a whole-column conversion cannot say which row failed
-            if plain:
+            header = next(rows)
+        except csv.Error as exc:
+            raise ValueError(f"row 1: {exc}") from exc
+    names = [h.strip().lower() for h in header]
+    scenario = names == CSV_HEADER
+    n = 2 if scenario or names == ["x", "y"] else 1
+    points = []
+    if not plain:
+        channel, n = _row_points(rows if n == 2 else chain([header], rows), n, scenario, points)
+    else:
+        channel = -1
+        for block in _line_blocks(text, 0 if n == 1 else end + 1):
+            if scenario and (match := _SCENARIO_ROWS.match(block)) and match.end() == len(block):
+                block_points, block_channel, count = _scenario_block(block)
+                points.extend(block_points)
+                n += count
+            else:
                 # csv.reader reads a blank line as a row of no fields
-                rows = [line.split(",") if line else [] for line in rows]
-            _raise_first_bad_row(rows, first, types)
-            raise
-        first += len(rows)
-    if not scenario:
-        return points, None
-    return points, max(channel, max(tables[1].values(), default=-1)) + 1
+                lines = (line.split(",") if line else [] for line in block.split("\n"))
+                block_channel, n = _row_points(lines, n, scenario, points)
+            channel = max(channel, block_channel)
+    return points, channel + 1 if scenario else None

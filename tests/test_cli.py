@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dynact import cli
 from dynact.cli import main
 from dynact.fitting import fit_dyisru, fit_dyt, mirror_augment
 from dynact.simulation import SimulationConfig, outlier_points, run_scenario
@@ -130,6 +131,18 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.err == f"dynact simulate: {message}\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_failed_render_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # every frame is rendered before scenario.csv is written, so a run that fails
+        # while rendering leaves no file the next run's manifest cannot list
+        def fail(panels):
+            raise ValueError("cannot render")
+
+        monkeypatch.setattr(cli, "render_figure", fail)
+        out = tmp_path / "sim"
+        assert run("simulate", "--seed", 0, "--out", out) == 2
+        assert capsys.readouterr().err == "dynact simulate: cannot render\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("sigma, seed", [(6, 0), (4, 2)])

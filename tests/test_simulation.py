@@ -302,8 +302,13 @@ class TestCsv:
                 's,channel,x,y,is_outlier\n"' + "0" * 200_000 + '",0,1.0,0.5,1\n',
                 "row 2: field larger than field limit (131072)",
             ),
+            # as in an unquoted file, the first bad row is named, whatever its fault
+            (
+                'x,y\n1.0,0.5\nzz,0.5\n2.0,0.5\n"' + "1" * 200_000 + '",0.5\n',
+                "row 3: could not convert string to float: 'zz'",
+            ),
         ],
-        ids=["xy", "scenario"],
+        ids=["xy", "scenario", "value-error-first"],
     )
     def test_csv_reader_error_names_its_row(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -351,6 +356,23 @@ class TestCsv:
         assert (len(points), channels) == (s_max, 1024)
         assert peak <= 2.5 * path.stat().st_size + 2**20
 
+    @pytest.mark.parametrize("s_max", [16, 67])
+    def test_quoted_memory_stays_bounded(self, tmp_path, s_max):
+        # the same scenarios with their first field quoted, as
+        # sed 's/^\([^,]*\),/"\1",/' quotes it: csv.reader streams the rows, so the
+        # reader holds the file's text and csv's copy of it, not every row
+        text = scenario_to_csv(run_scenario(SimulationConfig(channels=1024, s_max=s_max, seed=3)))
+        path = tmp_path / "quoted.csv"
+        path.write_text(re.sub(r"(?m)^([^,\n]*),", r'"\1",', text))
+        tracemalloc.start()
+        try:
+            points, channels = read_points_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(points), channels) == (s_max, 1024)
+        assert peak <= 6 * path.stat().st_size + 2**20
+
     def test_bad_row_in_last_block(self, tmp_path):
         text = scenario_to_csv(run_scenario(SimulationConfig(channels=1024, s_max=16, seed=3)))
         assert len(text) > 10 * simulation._BLOCK
@@ -362,14 +384,14 @@ class TestCsv:
             read_points_csv(path)
         assert str(info.value) == f"row {len(lines)}: is_outlier must be 0 or 1, got '2'"
 
-    def test_simulate_csv_skips_the_column_path(self, tmp_path):
+    def test_simulate_csv_skips_the_row_path(self, tmp_path):
         # every block of rows as scenario_to_csv writes them matches the row grammar
         scenario = run_scenario(SimulationConfig(channels=1024, s_max=16, seed=3))
         text = scenario_to_csv(scenario)
         assert len(text) > 10 * simulation._BLOCK
         path = tmp_path / "scenario.csv"
         path.write_text(text)
-        with mock.patch.object(simulation, "_columns", side_effect=AssertionError("column path")):
+        with mock.patch.object(simulation, "_row_points", side_effect=AssertionError("row path")):
             assert read_points_csv(path) == (outlier_points(scenario), 1024)
 
     @pytest.mark.parametrize(
