@@ -4,10 +4,10 @@ Stream contract. The raw stream is the splitmix64 output sequence: the word
 at counter i (i = 1, 2, ...) is ``finalize(key + i * GOLDEN) mod 2**64`` with
 the standard 64-bit finalizer. Streams are keyed by (seed, stream name), so
 independent consumers derived from the same seed never overlap. Every draw
-takes the next counter value(s) in order:
+takes the next counter value(s) in order; ``peek`` reads them and ``skip`` consumes them.
 
-- ``u64`` takes one word; ``uniform_halfopen`` is ``(word >> 11) * 2**-53``
-  and ``uniform`` scales it; ``randint`` reduces one word modulo the range.
+- ``uniforms(words, low, high)`` is ``low + (high - low) * ((word >> 11) * 2**-53)`` and
+  ``randints(words, low, high)`` is ``low + word % (high - low + 1)``, one word per value.
 - ``normals(n)`` takes 2n words. Draw k uses words 2k+1 and 2k+2 after the
   current counter: ``u1 = ((w1 >> 11) + 1) * 2**-53`` in (0, 1],
   ``u2 = (w2 >> 11) * 2**-53`` in [0, 1), and the value is
@@ -37,6 +37,7 @@ import numpy as np
 from dynact.core_math import _check_integer
 
 _MASK = (1 << 64) - 1
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -86,6 +87,27 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * logs) * coss
 
 
+def uniforms(words: np.ndarray, low: float, high: float) -> np.ndarray:
+    """One float64 uniform over [low, high) per uint64 word: low + (high - low) * ((word >> 11) * 2**-53)."""
+    # word >> 11 < 2**53: the conversion and the 2**-53 scaling are exact
+    return low + (high - low) * ((words >> _U11) * _TWO_POW_MINUS_53)
+
+
+def randints(words: np.ndarray, low: int, high: int) -> np.ndarray:
+    """One int64 in [low, high] per uint64 word: low + word % (high - low + 1). Bounds outside
+    int64 are refused, so no value wraps. Modulo bias: each value's probability is within a
+    relative r / 2**64 of 1/r for r = high - low + 1, e.g. below 6e-18 for r = 100.
+    """
+    _check_integer("low", low, _INT64_MIN)
+    _check_integer("high", high, low)  # an empty range is refused too
+    if high > _INT64_MAX:
+        raise ValueError(f"high must be <= {_INT64_MAX}, got {high}")
+    size = int(high) - int(low) + 1
+    offsets = words % np.uint64(size) if size <= _MASK else words  # all of int64: no reduction
+    # low + offset lies in int64: add low mod 2**64 with uint64 wraparound, then reinterpret
+    return (offsets + np.uint64(int(low) & _MASK)).view(np.int64)
+
+
 def _fnv1a64(text: str) -> int:
     h = _FNV_OFFSET
     for byte in text.encode("utf-8"):
@@ -94,7 +116,7 @@ def _fnv1a64(text: str) -> int:
 
 
 class CounterRng:
-    """Counter-indexed splitmix64 stream with uniform and Gaussian draws."""
+    """Counter-indexed splitmix64 stream: raw words by peek and skip, Gaussian draws by normals."""
 
     def __init__(self, seed: int, stream: str = ""):
         _check_integer("seed", seed)
@@ -103,27 +125,6 @@ class CounterRng:
             key ^= _fnv1a64(stream)
         self._key = _finalize(key)
         self._counter = 0
-
-    def u64(self) -> int:
-        self._counter += 1
-        return _finalize(self._key + self._counter * _GOLDEN)
-
-    def uniform_halfopen(self) -> float:
-        """Uniform in [0, 1)."""
-        return (self.u64() >> 11) * _TWO_POW_MINUS_53
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.uniform_halfopen()
-
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high], by one word modulo the range size r.
-
-        Modulo bias: each value's probability is within a relative
-        r / 2**64 of 1/r, e.g. below 6e-18 for r = 100.
-        """
-        _check_integer("low", low)
-        _check_integer("high", high, low)  # an empty range is refused too
-        return int(low) + self.u64() % (int(high) - int(low) + 1)
 
     def peek(self, n: int) -> np.ndarray:
         """The next n words as uint64, without consuming them."""

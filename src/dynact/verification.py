@@ -26,7 +26,7 @@ from dynact.activations import (
 )
 from dynact.core_math import _check_integer, _nondegenerate, _row_mean, as_channel_vector
 from dynact.core_math import layer_norm, ln_derivative_analytic
-from dynact.rng import _TWO_POW_MINUS_53, _U11, CounterRng, _box_muller
+from dynact.rng import CounterRng, _box_muller, randints, uniforms
 
 FD_STEP = 1e-5
 
@@ -93,7 +93,9 @@ def ln_derivative_fd(x) -> np.ndarray:
 
 
 def _draw_vector(rng: CounterRng, c: int) -> np.ndarray:
-    """Random channel vector: standard normals scaled by sigma ~ U[0.1, 10]."""
+    """Random channel vector: standard normals scaled by sigma ~ U[0.1, 10]. It stays only
+    because bench/workloads.py's _fd_miss replays check 1 through it; ROADMAP F deletes it.
+    """
     return next(_draw_vectors(rng, [c]))[0]
 
 
@@ -101,7 +103,7 @@ def _draw_vectors(rng: CounterRng, cs):
     """Yield the random vectors of trials with the non-decreasing channel counts cs, as (k, C)
     matrices, one per C in each batch of at most _BATCH words (or one trial).
 
-    A trial is its sigma word, as rng.uniform(0.1, 10.0), then its 2C words of rng.normals(C).
+    A trial is its sigma word, as uniforms(word, 0.1, 10.0), then its 2C words of rng.normals(C).
     A trial whose variance is below _REDRAW_VAR ends its batch: the trials before it are
     yielded, its words are skipped, and it draws again first in the next batch.
     """
@@ -111,7 +113,7 @@ def _draw_vectors(rng: CounterRng, cs):
         n = max(1, int(np.searchsorted(ends, _BATCH, side="right")))
         sigma_at = ends[:n] - (1 + 2 * cs[:n])
         words = rng.peek(int(ends[n - 1]))
-        sigma = 0.1 + (10.0 - 0.1) * ((words[sigma_at] >> np.uint64(11)) * 2.0**-53)  # as rng.uniform
+        sigma = uniforms(words[sigma_at], 0.1, 10.0)
         flat = np.repeat(sigma, cs[:n]) * _box_muller(np.delete(words, sigma_at))
         c_set, counts = np.unique(cs[:n], return_counts=True)
         mats = [m.reshape(-1, k) for m, k in zip(np.split(flat, np.cumsum(c_set * counts)[:-1]), c_set)]
@@ -220,9 +222,8 @@ def check_theorem4(seed: int, trials: int = 500) -> CheckResult:
     """Channel-exact beta makes DyISRU centered on the mean reproduce layer_norm to 1e-10."""
     _check_integer("trials", trials, 1)
     rng = CounterRng(seed, "channel_exact_beta_vs_ln")
-    # the channel counts come first, one word each as rng.randint(2, 100), so that the
-    # vectors are drawn in order of C
-    cs = np.sort(2 + rng.peek(trials) % np.uint64(99))
+    # the channel counts come first, one word each, so that the vectors are drawn in order of C
+    cs = np.sort(randints(rng.peek(trials), 2, 100))
     rng.skip(trials)
     ys, ds = [], []
     for x in _draw_vectors(rng, cs):
@@ -242,15 +243,12 @@ def check_isru_equivalence(seed: int, trials: int = 500) -> CheckResult:
     """sqrt(beta) * dyisru(x; beta, C) = sqrt(C-1) * isru(x; 1/beta), to 1e-12 relative."""
     _check_integer("trials", trials, 1)
     rng = CounterRng(seed, "dyisru_isru_equivalence")
-    # each trial takes three words, as rng.randint(2, 100), rng.uniform(-50.0, 50.0) and
-    # rng.uniform(-3.0, 6.0); the uniforms' scaling is exact up to the product and sum,
-    # which round as in the scalar calls
+    # each trial takes three words: its C, its x and its log10 beta
     words = rng.peek(3 * trials).reshape(trials, 3)
     rng.skip(3 * trials)
-    cs = (2 + words[:, 0] % np.uint64(99)).tolist()
-    halfopen = (words[:, 1:] >> _U11).astype(np.float64) * _TWO_POW_MINUS_53
-    xs = (-50.0 + 100.0 * halfopen[:, 0]).tolist()
-    us = (-3.0 + 9.0 * halfopen[:, 1]).tolist()
+    cs = randints(words[:, 0], 2, 100).tolist()
+    xs = uniforms(words[:, 1], -50.0, 50.0).tolist()
+    us = uniforms(words[:, 2], -3.0, 6.0).tolist()
     abs_errs, rel_errs = [], []
     for c, x, u in zip(cs, xs, us):
         beta = 10.0 ** u

@@ -2,18 +2,24 @@
 
 ``STREAM_DIGESTS`` was computed with the per-draw scalar Box-Muller code
 (one ``u64`` pair, ``math.log`` and ``math.cos`` per value). Any change that
-moves a bit of ``normals`` or the counter it leaves behind fails here.
+moves a bit of ``normals`` or the counter it leaves behind fails here. The
+scalar draws are ``scalar_draws.ScalarRng``'s, the oracle that ``uniforms``
+and ``randints`` must match bit for bit.
 """
 
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynact.rng import CounterRng
+from scalar_draws import ScalarRng
+
+from dynact.rng import CounterRng, randints, uniforms
 
 SEEDS = (0, 1, 7, -1, 2**40 + 3)
 STREAMS = ("", "sample_base", "ln_derivative_vs_fd", "channel_exact_beta_vs_ln")
@@ -44,13 +50,13 @@ STREAM_DIGESTS = {
 }
 
 
-def _scalar_draws(rng: CounterRng) -> bytes:
+def _scalar_draws(rng: ScalarRng) -> bytes:
     return repr((rng.uniform(-1.0, 3.0), rng.randint(0, 999), rng.u64())).encode()
 
 
 def _transcript(seed: int, stream: str) -> tuple[str, int]:
     """sha256 over normals(n).tobytes() for every n in SIZES, with scalar draws around each call."""
-    rng = CounterRng(seed, stream)
+    rng = ScalarRng(seed, stream)
     h = hashlib.sha256()
     for n in SIZES:
         h.update(_scalar_draws(rng))
@@ -59,7 +65,7 @@ def _transcript(seed: int, stream: str) -> tuple[str, int]:
     return h.hexdigest(), rng.u64()
 
 
-def _reference_normals(rng: CounterRng, n: int) -> np.ndarray:
+def _reference_normals(rng: ScalarRng, n: int) -> np.ndarray:
     """Box-Muller one draw at a time: u1 in (0, 1] from one u64, u2 in [0, 1) from the next."""
     out = []
     for _ in range(n):
@@ -83,7 +89,7 @@ def test_stream_is_frozen(seed, stream):
     st.integers(min_value=0, max_value=300),
 )
 def test_normals_match_scalar_reference_bit_for_bit(seed, stream, skip, n):
-    fast, ref = CounterRng(seed, stream), CounterRng(seed, stream)
+    fast, ref = ScalarRng(seed, stream), ScalarRng(seed, stream)
     for _ in range(skip):
         assert fast.u64() == ref.u64()
     got = fast.normals(n)
@@ -95,7 +101,7 @@ def test_normals_match_scalar_reference_bit_for_bit(seed, stream, skip, n):
 
 @pytest.mark.parametrize("n", [-1, -4096])
 def test_negative_n_raises_and_leaves_the_counter(n):
-    rng, untouched = CounterRng(7, "sample_base"), CounterRng(7, "sample_base")
+    rng, untouched = ScalarRng(7, "sample_base"), ScalarRng(7, "sample_base")
     assert rng.u64() == untouched.u64()
     with pytest.raises(ValueError, match="n must be >= 0"):
         rng.normals(n)
@@ -106,7 +112,7 @@ def test_seed_and_counts_must_be_integers():
     # a float seed used to be truncated, and skip(2.5) left a float counter that peek truncated
     with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
         CounterRng(1.5, "sample_base")
-    rng, untouched = CounterRng(7, "sample_base"), CounterRng(7, "sample_base")
+    rng, untouched = ScalarRng(7, "sample_base"), ScalarRng(7, "sample_base")
     with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
         rng.skip(2.5)
     with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
@@ -116,32 +122,121 @@ def test_seed_and_counts_must_be_integers():
     assert type(rng._counter) is int
     untouched.skip(2)
     assert rng.u64() == untouched.u64()
-    assert CounterRng(np.uint64(7), "sample_base").u64() == CounterRng(7, "sample_base").u64()
+    assert ScalarRng(np.uint64(7), "sample_base").u64() == ScalarRng(7, "sample_base").u64()
 
 
 def test_peek_and_randint_refuse_non_integers():
     # peek(2.5) used to return 3 words and peek(-1) none; randint(0, 2.5) returned the float 1.5
-    rng, untouched = CounterRng(7, "sample_base"), CounterRng(7, "sample_base")
+    rng, untouched = ScalarRng(7, "sample_base"), ScalarRng(7, "sample_base")
     with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
         rng.peek(2.5)
     with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
         rng.peek(-1)
+    words = rng.peek(4)
     for low, high, message in [
         (0, 2.5, r"^high must be an integer, got 2\.5$"),
         (0.5, 3, r"^low must be an integer, got 0\.5$"),
         (3, 2, r"^high must be >= 3, got 2$"),  # an empty range
     ]:
         with pytest.raises(ValueError, match=message):
-            rng.randint(low, high)
+            randints(words, low, high)
     assert rng.u64() == untouched.u64()
     assert rng.peek(np.int64(2)).tolist() == untouched.peek(2).tolist()
-    # numpy integer bounds give the int that Python ints give (the word used to overflow int64)
-    got = rng.randint(np.int64(0), np.int64(999))
-    assert type(got) is int and got == untouched.randint(0, 999)
+    # numpy integer bounds, np.uint64 included, give the values that Python ints give
+    got = randints(words, np.int64(0), np.uint64(999))
+    oracle = ScalarRng(7, "sample_base")
+    assert got.dtype == np.int64 and got.tolist() == [oracle.randint(0, 999) for _ in range(4)]
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+FINITE = st.floats(min_value=-1e300, max_value=1e300)
+
+
+def _skipped(seed, stream, skip):
+    """A stream with skip words already drawn one at a time."""
+    rng = ScalarRng(seed, stream)
+    for _ in range(skip):
+        rng.u64()
+    return rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=-(2**63), max_value=2**64 - 1),
+    st.sampled_from(STREAMS),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=64),
+    FINITE,
+    FINITE,
+)
+def test_uniforms_match_scalar_oracle_bit_for_bit(seed, stream, skip, n, low, high):
+    rng = _skipped(seed, stream, skip)
+    got = uniforms(rng.peek(n), low, high)
+    want = np.array([rng.uniform(low, high) for _ in range(n)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=-(2**63), max_value=2**64 - 1),
+    st.sampled_from(STREAMS),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=64),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-100, max_value=100),
+            st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+            st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
+        ),
+        min_size=2,
+        max_size=2,
+    ).map(sorted),
+)
+def test_randints_match_scalar_oracle(seed, stream, skip, n, bounds):
+    low, high = bounds
+    rng = _skipped(seed, stream, skip)
+    got = randints(rng.peek(n), low, high)
+    want = [rng.randint(low, high) for _ in range(n)]
+    assert got.dtype == np.int64 and got.shape == (n,)
+    assert got.tolist() == want
+    assert all(low <= v <= high for v in want)
+
+
+def test_randints_cover_the_whole_int64_range():
+    words = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert randints(words, INT64_MIN, INT64_MAX).tolist() == [
+        INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX]
+    assert randints(words, INT64_MAX, INT64_MAX).tolist() == [INT64_MAX] * 5
+    assert randints(words, INT64_MIN, INT64_MIN).tolist() == [INT64_MIN] * 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_randints_refuse_bounds_outside_int64(data):
+    # int64 cannot hold such a bound's values: refusing it keeps low + word % r from wrapping
+    words = ScalarRng(7, "sample_base").peek(8)
+    high = data.draw(st.integers(min_value=INT64_MAX + 1, max_value=2**80))
+    low = data.draw(st.integers(min_value=INT64_MIN, max_value=INT64_MAX))
+    with pytest.raises(ValueError, match=rf"^high must be <= {INT64_MAX}, got {high}$"):
+        randints(words, low, high)
+    low = data.draw(st.integers(min_value=-(2**80), max_value=INT64_MIN - 1))
+    high = data.draw(st.integers(min_value=INT64_MIN, max_value=INT64_MAX))
+    with pytest.raises(ValueError, match=rf"^low must be >= {INT64_MIN}, got {low}$"):
+        randints(words, low, high)
+    pair = st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=2, max_size=2, unique=True)
+    low, high = sorted(data.draw(pair))
+    with pytest.raises(ValueError, match=rf"^high must be >= {high}, got {low}$"):
+        randints(words, high, low)  # an empty range
+    bad = data.draw(st.one_of(st.floats(allow_nan=False), st.text(max_size=3), st.none()))
+    with pytest.raises(ValueError, match=r"^low must be an integer, got "):
+        randints(words, bad, 0)
+    with pytest.raises(ValueError, match=r"^high must be an integer, got "):
+        randints(words, 0, bad)
 
 
 def test_peek_reads_ahead_and_skip_consumes():
-    rng, ref = CounterRng(3, "channel_exact_beta_vs_ln"), CounterRng(3, "channel_exact_beta_vs_ln")
+    rng, ref = ScalarRng(3, "channel_exact_beta_vs_ln"), ScalarRng(3, "channel_exact_beta_vs_ln")
     rng.u64(), ref.u64()
     words = rng.peek(5)
     assert words.dtype == np.uint64
@@ -153,3 +248,50 @@ def test_peek_reads_ahead_and_skip_consumes():
     with pytest.raises(ValueError, match="n must be >= 0"):
         rng.skip(-1)
     assert rng.u64() == int(words[3])
+
+
+# rng.py is the one file that turns words into uniforms and integers; the rest of the
+# package draws through its public names, and _box_muller for interleaved normal words
+RNG_PRIVATE_ALLOWED = {"_box_muller"}
+
+
+def rng_private_uses(source: str) -> list[str]:
+    """The private dynact.rng names that a module's source imports or reads off the module."""
+    tree = ast.parse(source)
+    modules, used = {"dynact.rng"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "dynact.rng" and a.asname}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "dynact.rng" or (node.level and node.module == "rng"):
+                used += [a.name for a in node.names if a.name.startswith("_")]
+            elif node.module == "dynact" or (node.level and node.module is None):
+                modules |= {a.asname or a.name for a in node.names if a.name == "rng"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if ast.unparse(node.value) in modules:
+                used.append(node.attr)
+    return sorted(set(used) - RNG_PRIVATE_ALLOWED)
+
+
+def test_no_other_module_uses_rng_private_names():
+    src = Path(__file__).resolve().parents[1] / "src" / "dynact"
+    found = {
+        path.name: rng_private_uses(path.read_text(encoding="utf-8"))
+        for path in sorted(src.glob("*.py"))
+        if path.name != "rng.py"
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+@pytest.mark.parametrize("source, uses", [
+    ("from dynact.rng import _TWO_POW_MINUS_53, _U11, CounterRng, _box_muller", ["_TWO_POW_MINUS_53", "_U11"]),
+    ("from .rng import _words", ["_words"]),
+    ("import dynact.rng as r\nr._finalize(1)", ["_finalize"]),
+    ("from dynact import rng\nrng._U11", ["_U11"]),
+    ("import dynact.rng\ndynact.rng._MASK", ["_MASK"]),
+    ("from dynact.rng import CounterRng, _box_muller, randints, uniforms", []),
+    ("rng = object()\nrng._counter", []),
+])
+def test_rng_private_uses_finds_each_form(source, uses):
+    assert rng_private_uses(source) == uses

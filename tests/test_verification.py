@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+from scalar_draws import ScalarRng
+
 from dynact import verification
 from dynact.activations import BETA_MIN, DyISRUParams, beta_exact, dyisru, isru
 from dynact.core_math import layer_norm, ln_derivative_analytic
@@ -289,7 +291,7 @@ def _reference_draw(rng, c):
 
 def _oracle_theorem1(seed, trials, c_list=(2, 3, 10, 100), rel_tol=1e-6, abs_tol=1e-8):
     """Check 1 as a per-trial loop of 1-D library calls; also counts redraws."""
-    rng = CounterRng(seed, "ln_derivative_vs_fd")
+    rng = ScalarRng(seed, "ln_derivative_vs_fd")
     abs_errs, rel_errs, redraws = [], [], 0
     for c in c_list:
         for _ in range(trials):
@@ -311,7 +313,7 @@ def _oracle_theorem1(seed, trials, c_list=(2, 3, 10, 100), rel_tol=1e-6, abs_tol
 
 def _oracle_theorem4(seed, trials):
     """Check 4 as a per-trial loop of 1-D library calls; also counts redraws."""
-    rng = CounterRng(seed, "channel_exact_beta_vs_ln")
+    rng = ScalarRng(seed, "channel_exact_beta_vs_ln")
     abs_errs, rel_errs, redraws = [], [], 0
     for c in sorted([rng.randint(2, 100) for _ in range(trials)]):
         x, redrawn = _reference_draw(rng, c)
@@ -346,7 +348,7 @@ def test_batched_checks_match_per_trial_oracle(seed):
 
 def _oracle_isru_equivalence(seed, trials):
     """Check 5 with its words drawn call by call: randint, uniform and uniform per trial."""
-    rng = CounterRng(seed, "dyisru_isru_equivalence")
+    rng = ScalarRng(seed, "dyisru_isru_equivalence")
     abs_errs, rel_errs = [], []
     for _ in range(trials):
         c = rng.randint(2, 100)
