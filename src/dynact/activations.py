@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynact.core_math import as_channel_vector, _centered, _check_index, _check_integer
+from dynact.core_math import _INT64_MAX, as_channel_vector, _centered, _check_index, _check_integer
 
 # Floor for a channel-exact beta, as a multiple of the row's population variance:
 # beta = 0 is analytically valid but collapses DyISRU to a step, and an absolute
@@ -35,27 +35,28 @@ class DyTParams:
 
 @dataclass(frozen=True)
 class DyISRUParams:
-    """Finite denominator offset beta > 0, channel count C >= 2, and center mu.
+    """Finite denominator offset beta > 0, channel count C >= 2, and finite center mu.
 
-    ``beta`` and ``mu`` are scalars or arrays that broadcast against x, e.g. a
-    per-channel beta or a (k, 1) mu for a (k, C) stack. Params are equal when
-    channels, beta and mu (shape and values) are, so a scalar never equals an array.
+    Each is a scalar or an array that broadcasts against x, e.g. a per-channel beta, a
+    (k, 1) mu for a (k, C) stack or one C per entry of x. Params are equal when beta,
+    channels and mu are (shape and values), so a scalar never equals an array.
     """
 
     beta: float | np.ndarray
-    channels: int
+    channels: int | np.ndarray
     mu: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        beta = np.asarray(self.beta)
-        if not ((beta > 0) & (beta < np.inf)).all():
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        _check_integer("channels", self.channels, 2)
+        _check_positive("beta", self.beta)
+        c = np.ravel(self.channels).tolist()  # a float array's entries stay floats
+        for v in (min(c), max(c)):
+            _check_integer("channels", v, 2, _INT64_MAX)
+        if not np.isfinite(self.mu).all():
+            raise ValueError(f"mu must be finite, got {self.mu}")
 
     def _key(self) -> tuple:
-        # beta > 0 rules out NaN and -0.0, so equal bytes means equal values
-        beta = np.asarray(self.beta, dtype=np.float64)
-        return (beta.shape, beta.tobytes(), self.channels, np.shape(self.mu), *np.ravel(self.mu).tolist())
+        # beta > 0 and a finite mu rule out NaN, and -0.0 == 0.0 hash alike, so equal values mean equal keys
+        return tuple((np.shape(v), *np.ravel(v).tolist()) for v in (self.beta, self.channels, self.mu))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -64,6 +65,12 @@ class DyISRUParams:
 
     def __hash__(self):
         return hash(self._key())
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse a value (or array) with an entry that is not finite and > 0, by a ValueError naming the field."""
+    if not (np.isfinite(value) & np.greater(value, 0)).all():
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _dyt(x, alpha, root, slope=False):
@@ -89,13 +96,12 @@ def scaled_dyt(x, p: DyTParams):
 
 def dyisru(x, p: DyISRUParams):
     """sqrt(C-1) * (x - mu) / sqrt(beta + (x - mu)^2); mu = 0 is the outlier form."""
-    return _dyisru(np.asarray(x, dtype=np.float64) - p.mu, p.beta, math.sqrt(p.channels - 1))
+    return _dyisru(np.asarray(x, dtype=np.float64) - p.mu, p.beta, np.sqrt(np.asarray(p.channels) - 1))
 
 
-def isru(x, alpha: float):
-    """Inverse square root unit x / sqrt(1 + alpha * x^2), alpha finite and > 0."""
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+def isru(x, alpha):
+    """Inverse square root unit x / sqrt(1 + alpha * x^2), alpha finite and > 0 (or such an array)."""
+    _check_positive("alpha", alpha)
     xa = np.asarray(x, dtype=np.float64)
     return xa / np.sqrt(1.0 + alpha * xa * xa)
 

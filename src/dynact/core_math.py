@@ -13,6 +13,8 @@ import numpy as np
 # refused instead of regularized.
 VAR_EPSILON = 1e-24
 
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1  # the range of integer fields numpy computes with
+
 
 class DegenerateVariance(ValueError):
     """Input vector is constant or near-constant; normalization is undefined."""
@@ -32,12 +34,14 @@ def as_channel_vector(x) -> np.ndarray:
     return arr
 
 
-def _check_integer(name: str, value, low: int | None = None) -> None:
-    """Refuse a non-integer value (numpy integers pass) or one below low, by a ValueError naming the field."""
+def _check_integer(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """Refuse a non-integer value (numpy integers pass) or one outside [low, high], by a ValueError naming the field."""
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 def _check_index(i, c: int):

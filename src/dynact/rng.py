@@ -34,10 +34,9 @@ import math
 
 import numpy as np
 
-from dynact.core_math import _check_integer
+from dynact.core_math import _INT64_MAX, _INT64_MIN, _check_integer
 
 _MASK = (1 << 64) - 1
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -99,9 +98,7 @@ def randints(words: np.ndarray, low: int, high: int) -> np.ndarray:
     relative r / 2**64 of 1/r for r = high - low + 1, e.g. below 6e-18 for r = 100.
     """
     _check_integer("low", low, _INT64_MIN)
-    _check_integer("high", high, low)  # an empty range is refused too
-    if high > _INT64_MAX:
-        raise ValueError(f"high must be <= {_INT64_MAX}, got {high}")
+    _check_integer("high", high, low, _INT64_MAX)  # an empty range is refused too
     size = int(high) - int(low) + 1
     offsets = words % np.uint64(size) if size <= _MASK else words  # all of int64: no reduction
     # low + offset lies in int64: add low mod 2**64 with uint64 wraparound, then reinterpret

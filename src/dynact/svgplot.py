@@ -67,8 +67,10 @@ def _data_bounds(panel: Panel) -> tuple[float, float, float, float]:
     return x0 - px, x1 + px, y0 - py, y1 + py
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
+def _ticks(lo: float, hi: float, axis: str) -> list[float]:
     span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError(f"the {axis} axis spans [{lo:g}, {hi:g}], wider than the float range")
     raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -116,13 +118,13 @@ def _render_panel(panel: Panel, y_off: float, height: float) -> list[str]:
         'fill="none" stroke="#333" stroke-width="1"/>',
         _text(ox + inner_w / 2, y_off + 24, panel.title, 15),
     ]
-    for t in _ticks(x0, x1):
+    for t in _ticks(x0, x1, "x"):
         parts.append(
             f'<line x1="{sx(t):.2f}" y1="{oy + inner_h:.2f}" x2="{sx(t):.2f}" '
             f'y2="{oy + inner_h + 5:.2f}" stroke="#333"/>'
         )
         parts.append(_text(sx(t), oy + inner_h + 18, _fmt(t), 11))
-    for t in _ticks(y0, y1):
+    for t in _ticks(y0, y1, "y"):
         parts.append(
             f'<line x1="{ox - 5:.2f}" y1="{sy(t):.2f}" x2="{ox:.2f}" y2="{sy(t):.2f}" stroke="#333"/>'
         )

@@ -57,6 +57,29 @@ class TestParams:
                 DyISRUParams(beta=bad, channels=10)
             with pytest.raises(ValueError, match="beta must be finite and > 0"):
                 DyISRUParams(beta=np.array([0.5, bad]), channels=2)
+        # a NaN mu would make Params unequal to themselves and dyisru all NaN, an infinite one NaN too
+        with pytest.raises(ValueError, match=r"^mu must be finite, got nan$"):
+            DyISRUParams(beta=1.0, channels=3, mu=math.nan)
+        for bad in (math.inf, -math.inf, np.array([[0.5], [math.nan]])):
+            with pytest.raises(ValueError, match="^mu must be finite, got"):
+                DyISRUParams(beta=1.0, channels=3, mu=bad)
+
+    def test_dyisru_array_channels_validation(self):
+        DyISRUParams(beta=1.0, channels=np.array([2, 3, 2**63 - 1]))
+        DyISRUParams(beta=1.0, channels=[[2], [5]])
+        DyISRUParams(beta=1.0, channels=np.uint64(7))
+        with pytest.raises(ValueError, match=r"^channels must be an integer, got 2\.0$"):
+            DyISRUParams(beta=1.0, channels=np.array([3.0, 2.0]))
+        with pytest.raises(ValueError, match=r"^channels must be >= 2, got 1$"):
+            DyISRUParams(beta=1.0, channels=1)
+        with pytest.raises(ValueError, match=r"^channels must be >= 2, got 1$"):
+            DyISRUParams(beta=1.0, channels=np.array([[3, 1], [4, 5]]))
+        # outside int64 is refused where the Params are built, before dyisru could fail on it
+        for big in (2**63, 10**30, np.uint64(2**64 - 1), np.array([3, 2**63], dtype=np.uint64)):
+            with pytest.raises(ValueError, match=r"^channels must be <= 9223372036854775807, got"):
+                DyISRUParams(beta=1.0, channels=big)
+        with pytest.raises(ValueError, match="^channels must be >= 2, got"):
+            DyISRUParams(beta=1.0, channels=-(10**30))
 
     def test_dyisru_row_mu_equality_and_hash(self):
         # one mu per row of a (k, C) stack takes part in equality and hashing
@@ -89,6 +112,16 @@ class TestParams:
         assert a != DyISRUParams(beta=np.array([0.5, 2.0]), channels=3, mu=1.0)
         assert a != DyISRUParams(beta=np.array([[0.5, 2.0, 3.0]]), channels=3, mu=1.0)
         assert a != DyISRUParams(beta=np.array([0.5, 2.0, 3.0]), channels=3)
+        # an array channels takes part by shape and value too
+        c = DyISRUParams(beta=2.0, channels=np.array([2, 3, 4]))
+        d = DyISRUParams(beta=2.0, channels=np.array([2, 3, 4]))
+        assert c == d and not c != d
+        assert hash(c) == hash(d)
+        assert c == DyISRUParams(beta=2.0, channels=[2, 3, 4])
+        assert c != DyISRUParams(beta=2.0, channels=np.array([2, 3, 5]))
+        assert c != DyISRUParams(beta=2.0, channels=np.array([[2, 3, 4]]))
+        assert c != DyISRUParams(beta=2.0, channels=np.array([2, 3]))
+        assert DyISRUParams(beta=2.0, channels=np.array([3])) != DyISRUParams(beta=2.0, channels=3)
 
     def test_dyisru_scalar_never_equals_array(self):
         scalar = DyISRUParams(beta=2.0, channels=2)
@@ -218,9 +251,12 @@ class TestIsru:
         assert float(isru(2.0, 0.25)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_rejects_nonpositive_alpha(self):
-        for alpha in (0.0, math.inf, math.nan):
+        for alpha in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="alpha must be finite and > 0"):
                 isru(0.0, alpha)
+            # one bad entry refuses an array alpha
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                isru([1.0, 2.0], np.array([0.5, alpha]))
 
     @given(xs, st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
     def test_odd(self, x, alpha):
@@ -232,6 +268,18 @@ class TestIsru:
         lhs = math.sqrt(beta) * float(dyisru(x, DyISRUParams(beta, c)))
         rhs = math.sqrt(c - 1) * float(isru(x, 1.0 / beta))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+
+
+@given(
+    st.lists(st.tuples(xs, betas, st.integers(min_value=2, max_value=4096), alphas), min_size=1, max_size=20),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+def test_array_channels_and_alpha_match_scalar_calls(rows, mu):
+    # one call over arrays gives each entry the bits of its own scalar call
+    x, beta, c, alpha = (np.array(v) for v in zip(*rows))
+    scalar_dyisru = [float(dyisru(xi, DyISRUParams(beta=bi, channels=ci, mu=mu))) for xi, bi, ci, _ in rows]
+    np.testing.assert_array_equal(dyisru(x, DyISRUParams(beta=beta, channels=c, mu=mu)), scalar_dyisru)
+    np.testing.assert_array_equal(isru(x, alpha), [float(isru(xi, ai)) for xi, _, _, ai in rows])
 
 
 class TestBetaExact:
