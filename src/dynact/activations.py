@@ -7,8 +7,7 @@ functions accept scalars or numpy arrays in ``x`` and broadcast element-wise.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,43 +19,12 @@ from dynact.core_math import _INT64_MAX, as_channel_vector, _centered, _check_in
 BETA_MIN = 1e-18
 
 
-@dataclass(frozen=True)
-class DyTParams:
-    """Finite slope alpha > 0 and channel count C >= 2 for scaled DyT."""
-
-    alpha: float
-    channels: int
-
-    def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        _check_integer("channels", self.channels, 2)
-
-
-@dataclass(frozen=True)
-class DyISRUParams:
-    """Finite denominator offset beta > 0, channel count C >= 2, and finite center mu.
-
-    Each is a scalar or an array that broadcasts against x, e.g. a per-channel beta, a
-    (k, 1) mu for a (k, C) stack or one C per entry of x. Params are equal when beta,
-    channels and mu are (shape and values), so a scalar never equals an array.
-    """
-
-    beta: float | np.ndarray
-    channels: int | np.ndarray
-    mu: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        _check_positive("beta", self.beta)
-        c = np.ravel(self.channels).tolist()  # a float array's entries stay floats
-        for v in (min(c), max(c)):
-            _check_integer("channels", v, 2, _INT64_MAX)
-        if not np.isfinite(self.mu).all():
-            raise ValueError(f"mu must be finite, got {self.mu}")
+class _Params:
+    """Equality and hashing by the shape and values of every field, so a scalar never equals an array."""
 
     def _key(self) -> tuple:
-        # beta > 0 and a finite mu rule out NaN, and -0.0 == 0.0 hash alike, so equal values mean equal keys
-        return tuple((np.shape(v), *np.ravel(v).tolist()) for v in (self.beta, self.channels, self.mu))
+        # fields > 0 and a finite mu rule out NaN, and -0.0 == 0.0 hash alike, so equal values mean equal keys
+        return tuple((np.shape(v), *np.ravel(v).tolist()) for v in (getattr(self, f.name) for f in fields(self)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -65,6 +33,44 @@ class DyISRUParams:
 
     def __hash__(self):
         return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class DyTParams(_Params):
+    """Finite slope alpha > 0 and channel count C >= 2 for scaled DyT, each broadcasting as in DyISRUParams."""
+
+    alpha: float | np.ndarray
+    channels: int | np.ndarray
+
+    def __post_init__(self):
+        _check_positive("alpha", self.alpha)
+        _check_channels(self.channels)
+
+
+@dataclass(frozen=True, eq=False)
+class DyISRUParams(_Params):
+    """Finite denominator offset beta > 0, channel count C >= 2, and finite center mu.
+
+    Each is a scalar or an array that broadcasts against x, e.g. a per-channel beta, a
+    (k, 1) mu for a (k, C) stack or one C per entry of x.
+    """
+
+    beta: float | np.ndarray
+    channels: int | np.ndarray
+    mu: float | np.ndarray = 0.0
+
+    def __post_init__(self):
+        _check_positive("beta", self.beta)
+        _check_channels(self.channels)
+        if not np.isfinite(self.mu).all():
+            raise ValueError(f"mu must be finite, got {self.mu}")
+
+
+def _check_channels(channels) -> None:
+    """Refuse a channel count (or array) with an entry that is not an integer in [2, 2**63 - 1]."""
+    c = np.ravel(channels).tolist()  # a float array's entries stay floats
+    for v in (min(c), max(c)):
+        _check_integer("channels", v, 2, _INT64_MAX)
 
 
 def _check_positive(name: str, value) -> None:
@@ -91,7 +97,7 @@ def _dyisru(u, beta, root, slope=False):
 
 def scaled_dyt(x, p: DyTParams):
     """sqrt(C-1) * tanh(alpha * x): odd, strictly increasing, |.| < sqrt(C-1)."""
-    return _dyt(np.asarray(x, dtype=np.float64), p.alpha, math.sqrt(p.channels - 1))
+    return _dyt(np.asarray(x, dtype=np.float64), p.alpha, np.sqrt(np.asarray(p.channels) - 1))
 
 
 def dyisru(x, p: DyISRUParams):

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from dynact.activations import _dyisru, _dyt
-from dynact.core_math import _check_integer
+from dynact.core_math import _INT64_MAX, _check_integer
 
 # Parameter search domains (log-space bounds).
 ALPHA_DOMAIN = (1e-12, 1e12)
@@ -49,7 +49,7 @@ class FitDataset:
         y = np.array(self.y, dtype=np.float64)
         if x.ndim != 1 or x.shape != y.shape:
             raise ValueError(f"x and y must be 1-D of equal length, got shapes {x.shape} and {y.shape}")
-        _check_integer("channels", self.channels, 2)
+        _check_integer("channels", self.channels, 2, _INT64_MAX)
         if len(x) < 1:
             raise ValueError("dataset needs at least one point")
         bound = math.sqrt(self.channels - 1)

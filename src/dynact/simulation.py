@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dynact.core_math import _check_integer, layer_norm
+from dynact.core_math import _INT64_MAX, _check_integer, layer_norm
 from dynact.rng import CounterRng
 
 CSV_HEADER = ["s", "channel", "x", "y", "is_outlier"]
@@ -38,7 +38,7 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer("channels", self.channels, 2)
+        _check_integer("channels", self.channels, 2, _INT64_MAX)
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not 0 < self.sigma < math.inf:

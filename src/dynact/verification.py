@@ -167,21 +167,20 @@ def check_theorem2() -> CheckResult:
     The analytic derivative alpha * sqrt(C-1) * (1 - tanh(alpha x)^2) is
     compared to the right-hand side, and cross-checked by central FD, to 1e-8 absolute.
     """
-    alphas, abs_tol = (0.049, 0.5, 2.0), 1e-8
+    alphas, abs_tol = np.array([[0.049], [0.5], [2.0]]), 1e-8  # one row per alpha, through one call per C
     abs_errs, rel_errs = [], []
-    for alpha in alphas:
-        for c in _CHANNELS:
-            p = DyTParams(alpha=alpha, channels=c)
-            root = math.sqrt(c - 1)
-            y = scaled_dyt(_GRID, p)
-            rhs = (alpha / root) * (c - 1 - y * y)
-            analytic = alpha * root * (1.0 - np.tanh(alpha * _GRID) ** 2)
-            fd = (scaled_dyt(_GRID + FD_STEP, p) - scaled_dyt(_GRID - FD_STEP, p)) / (2 * FD_STEP)
-            abs_err = np.maximum(np.abs(analytic - rhs), np.abs(fd - rhs))
-            abs_errs.append(abs_err.max(initial=0.0))
-            big = np.abs(rhs) > abs_tol
-            rel_errs.append((abs_err[big] / np.abs(rhs[big])).max(initial=0.0))
-    trials = len(alphas) * len(_CHANNELS) * _GRID.size
+    for c in _CHANNELS:
+        p = DyTParams(alpha=alphas, channels=c)
+        root = math.sqrt(c - 1)
+        y = scaled_dyt(_GRID, p)
+        rhs = (alphas / root) * (c - 1 - y * y)
+        analytic = alphas * root * (1.0 - np.tanh(alphas * _GRID) ** 2)
+        fd = (scaled_dyt(_GRID + FD_STEP, p) - scaled_dyt(_GRID - FD_STEP, p)) / (2 * FD_STEP)
+        abs_err = np.maximum(np.abs(analytic - rhs), np.abs(fd - rhs))
+        abs_errs.append(abs_err.max(initial=0.0))
+        big = np.abs(rhs) > abs_tol
+        rel_errs.append((abs_err[big] / np.abs(rhs[big])).max(initial=0.0))
+    trials = alphas.size * len(_CHANNELS) * _GRID.size
     return _result("scaled_dyt_ode_identity", trials, abs_errs, rel_errs, abs_tol, gate_abs=True)
 
 

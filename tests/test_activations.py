@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,39 +25,47 @@ betas = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False)
 channel_counts = st.integers(min_value=2, max_value=100)
 
 
+# DyT and DyISRU Params share one contract: a finite positive first field (alpha or beta)
+# and integer channels, each broadcasting, compared and hashed by shape and value. The
+# contract tests below run over both classes, each built positionally as P(value, channels).
+PARAMS = (DyISRUParams, DyTParams)
+
+
 class TestParams:
     def test_dyt_validation(self):
         # an infinite alpha would make scaled_dyt(0) = sqrt(C-1) * tanh(inf * 0) NaN
         for alpha in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="alpha must be finite and > 0"):
                 DyTParams(alpha=alpha, channels=10)
-        with pytest.raises(ValueError):
-            DyTParams(alpha=1.0, channels=1)
-        with pytest.raises(ValueError, match=r"^channels must be an integer, got 2\.5$"):
-            DyTParams(alpha=1.0, channels=2.5)
+        # an array alpha of one entry is an array too, not a scalar that cannot be hashed
+        p = DyTParams(alpha=np.array([0.5]), channels=3)
+        assert hash(p) == hash(DyTParams(alpha=[0.5], channels=3))
+        assert p != DyTParams(alpha=0.5, channels=3)
         assert DyTParams(alpha=1.0, channels=np.int64(3)).channels == 3
 
     def test_dyisru_validation(self):
-        with pytest.raises(ValueError):
-            DyISRUParams(beta=0.0, channels=10)
-        with pytest.raises(ValueError):
-            DyISRUParams(beta=-1.0, channels=10)
-        with pytest.raises(ValueError):
-            DyISRUParams(beta=1.0, channels=1)
-        with pytest.raises(ValueError, match=r"^channels must be an integer, got 2\.5$"):
-            DyISRUParams(1.0, 2.5)
-        # a per-channel beta must be > 0 in every entry
-        DyISRUParams(beta=np.array([0.5, 2.0]), channels=2)
-        DyISRUParams(beta=[1.0, 2.0], channels=3)  # array-like: compared as an array on both sides
-        with pytest.raises(ValueError, match="beta must be finite and > 0"):
-            DyISRUParams(beta=[1.0, math.inf], channels=3)
-        with pytest.raises(ValueError):
-            DyISRUParams(beta=np.array([0.5, 0.0]), channels=2)
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="beta must be finite and > 0"):
-                DyISRUParams(beta=bad, channels=10)
-            with pytest.raises(ValueError, match="beta must be finite and > 0"):
-                DyISRUParams(beta=np.array([0.5, bad]), channels=2)
+        for P in PARAMS:
+            name = fields(P)[0].name
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got 0.0$"):
+                P(0.0, 10)
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got -1.0$"):
+                P(-1.0, 10)
+            with pytest.raises(ValueError, match=r"^channels must be >= 2, got 1$"):
+                P(1.0, 1)
+            with pytest.raises(ValueError, match=r"^channels must be an integer, got 2\.5$"):
+                P(1.0, 2.5)
+            # an array must be finite and > 0 in every entry
+            P(np.array([0.5, 2.0]), 2)
+            P([1.0, 2.0], 3)  # array-like: compared as an array on both sides
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                P(np.array([0.5, 0.0]), 2)
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                    P(bad, 10)
+                with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                    P(np.array([0.5, bad]), 2)
+                with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                    P([1.0, bad], 3)
         # a NaN mu would make Params unequal to themselves and dyisru all NaN, an infinite one NaN too
         with pytest.raises(ValueError, match=r"^mu must be finite, got nan$"):
             DyISRUParams(beta=1.0, channels=3, mu=math.nan)
@@ -65,21 +74,22 @@ class TestParams:
                 DyISRUParams(beta=1.0, channels=3, mu=bad)
 
     def test_dyisru_array_channels_validation(self):
-        DyISRUParams(beta=1.0, channels=np.array([2, 3, 2**63 - 1]))
-        DyISRUParams(beta=1.0, channels=[[2], [5]])
-        DyISRUParams(beta=1.0, channels=np.uint64(7))
-        with pytest.raises(ValueError, match=r"^channels must be an integer, got 2\.0$"):
-            DyISRUParams(beta=1.0, channels=np.array([3.0, 2.0]))
-        with pytest.raises(ValueError, match=r"^channels must be >= 2, got 1$"):
-            DyISRUParams(beta=1.0, channels=1)
-        with pytest.raises(ValueError, match=r"^channels must be >= 2, got 1$"):
-            DyISRUParams(beta=1.0, channels=np.array([[3, 1], [4, 5]]))
-        # outside int64 is refused where the Params are built, before dyisru could fail on it
-        for big in (2**63, 10**30, np.uint64(2**64 - 1), np.array([3, 2**63], dtype=np.uint64)):
-            with pytest.raises(ValueError, match=r"^channels must be <= 9223372036854775807, got"):
-                DyISRUParams(beta=1.0, channels=big)
-        with pytest.raises(ValueError, match="^channels must be >= 2, got"):
-            DyISRUParams(beta=1.0, channels=-(10**30))
+        for P in PARAMS:
+            P(1.0, np.array([2, 3, 2**63 - 1]))
+            P(1.0, [[2], [5]])
+            P(1.0, np.uint64(7))
+            with pytest.raises(ValueError, match=r"^channels must be an integer, got 2\.0$"):
+                P(1.0, np.array([3.0, 2.0]))
+            with pytest.raises(ValueError, match=r"^channels must be >= 2, got 1$"):
+                P(1.0, 1)
+            with pytest.raises(ValueError, match=r"^channels must be >= 2, got 1$"):
+                P(1.0, np.array([[3, 1], [4, 5]]))
+            # outside int64 is refused where the Params are built, before an evaluator could fail on it
+            for big in (2**63, 10**30, 10**400, np.uint64(2**64 - 1), np.array([3, 2**63], dtype=np.uint64)):
+                with pytest.raises(ValueError, match=r"^channels must be <= 9223372036854775807, got"):
+                    P(1.0, big)
+            with pytest.raises(ValueError, match="^channels must be >= 2, got"):
+                P(1.0, -(10**30))
 
     def test_dyisru_row_mu_equality_and_hash(self):
         # one mu per row of a (k, C) stack takes part in equality and hashing
@@ -95,51 +105,60 @@ class TestParams:
         )
 
     def test_dyisru_scalar_equality_and_hash(self):
+        for P in PARAMS:
+            a = P(4.0, 10)
+            assert a == P(4, 10) and a == P(np.float64(4.0), 10) and a == P(4.0, np.int64(10))
+            assert hash(a) == hash(P(4, 10))
+            assert a != P(4.0, 11)
+            assert a != P(5.0, 10)
+        assert DyTParams(4.0, 10) != DyISRUParams(4.0, 10)
         a = DyISRUParams(beta=4.0, channels=10, mu=0.5)
         assert a == DyISRUParams(beta=4, channels=10, mu=0.5)
-        assert a == DyISRUParams(beta=np.float64(4.0), channels=10, mu=0.5)
         assert hash(a) == hash(DyISRUParams(beta=4, channels=10, mu=0.5))
-        assert a != DyISRUParams(beta=4.0, channels=11, mu=0.5)
         assert a != DyISRUParams(beta=4.0, channels=10)
-        assert a != DyISRUParams(beta=5.0, channels=10, mu=0.5)
 
     def test_dyisru_array_equality_and_hash(self):
+        for P in PARAMS:
+            a = P(np.array([0.5, 2.0, 3.0]), 3)
+            b = P(np.array([0.5, 2.0, 3.0]), 3)
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+            assert a != P(np.array([0.5, 2.0, 3.5]), 3)
+            assert a != P(np.array([0.5, 2.0]), 3)
+            assert a != P(np.array([[0.5, 2.0, 3.0]]), 3)
+            # an array channels takes part by shape and value too
+            c = P(2.0, np.array([2, 3, 4]))
+            d = P(2.0, np.array([2, 3, 4]))
+            assert c == d and not c != d
+            assert hash(c) == hash(d)
+            assert c == P(2.0, [2, 3, 4])
+            assert c != P(2.0, np.array([2, 3, 5]))
+            assert c != P(2.0, np.array([[2, 3, 4]]))
+            assert c != P(2.0, np.array([2, 3]))
+            assert P(2.0, np.array([3])) != P(2.0, 3)
         a = DyISRUParams(beta=np.array([0.5, 2.0, 3.0]), channels=3, mu=1.0)
-        b = DyISRUParams(beta=np.array([0.5, 2.0, 3.0]), channels=3, mu=1.0)
-        assert a == b and not a != b
-        assert hash(a) == hash(b)
-        assert a != DyISRUParams(beta=np.array([0.5, 2.0, 3.5]), channels=3, mu=1.0)
-        assert a != DyISRUParams(beta=np.array([0.5, 2.0]), channels=3, mu=1.0)
-        assert a != DyISRUParams(beta=np.array([[0.5, 2.0, 3.0]]), channels=3, mu=1.0)
+        assert a == DyISRUParams(beta=np.array([0.5, 2.0, 3.0]), channels=3, mu=1.0)
         assert a != DyISRUParams(beta=np.array([0.5, 2.0, 3.0]), channels=3)
-        # an array channels takes part by shape and value too
-        c = DyISRUParams(beta=2.0, channels=np.array([2, 3, 4]))
-        d = DyISRUParams(beta=2.0, channels=np.array([2, 3, 4]))
-        assert c == d and not c != d
-        assert hash(c) == hash(d)
-        assert c == DyISRUParams(beta=2.0, channels=[2, 3, 4])
-        assert c != DyISRUParams(beta=2.0, channels=np.array([2, 3, 5]))
-        assert c != DyISRUParams(beta=2.0, channels=np.array([[2, 3, 4]]))
-        assert c != DyISRUParams(beta=2.0, channels=np.array([2, 3]))
-        assert DyISRUParams(beta=2.0, channels=np.array([3])) != DyISRUParams(beta=2.0, channels=3)
 
     def test_dyisru_scalar_never_equals_array(self):
-        scalar = DyISRUParams(beta=2.0, channels=2)
-        array = DyISRUParams(beta=np.array([2.0, 2.0]), channels=2)
-        assert scalar != array and array != scalar
-        assert DyISRUParams(beta=np.array(2.0), channels=2) == scalar
+        for P in PARAMS:
+            scalar = P(2.0, 2)
+            array = P(np.array([2.0, 2.0]), 2)
+            assert scalar != array and array != scalar
+            assert P(np.array(2.0), 2) == scalar
 
     def test_dyisru_params_in_a_set(self):
-        params = {
-            DyISRUParams(beta=np.array([0.5, 2.0]), channels=2),
-            DyISRUParams(beta=np.array([0.5, 2.0]), channels=2),
-            DyISRUParams(beta=np.array([0.5, 3.0]), channels=2),
-            DyISRUParams(beta=0.5, channels=2),
-            DyISRUParams(beta=0.5, channels=2),
-        }
-        assert len(params) == 3
-        assert DyISRUParams(beta=np.array([0.5, 3.0]), channels=2) in params
-        assert DyISRUParams(beta=np.array([3.0, 0.5]), channels=2) not in params
+        for P in PARAMS:
+            params = {
+                P(np.array([0.5, 2.0]), 2),
+                P(np.array([0.5, 2.0]), 2),
+                P(np.array([0.5, 3.0]), 2),
+                P(0.5, 2),
+                P(0.5, 2),
+            }
+            assert len(params) == 3
+            assert P(np.array([0.5, 3.0]), 2) in params
+            assert P(np.array([3.0, 0.5]), 2) not in params
 
 
 class TestScaledDyt:
@@ -280,6 +299,11 @@ def test_array_channels_and_alpha_match_scalar_calls(rows, mu):
     scalar_dyisru = [float(dyisru(xi, DyISRUParams(beta=bi, channels=ci, mu=mu))) for xi, bi, ci, _ in rows]
     np.testing.assert_array_equal(dyisru(x, DyISRUParams(beta=beta, channels=c, mu=mu)), scalar_dyisru)
     np.testing.assert_array_equal(isru(x, alpha), [float(isru(xi, ai)) for xi, _, _, ai in rows])
+    scalar_dyt = [float(scaled_dyt(xi, DyTParams(alpha=ai, channels=ci))) for xi, _, ci, ai in rows]
+    np.testing.assert_array_equal(scaled_dyt(x, DyTParams(alpha=alpha, channels=c)), scalar_dyt)
+    # a (k, 1) alpha column against one C per entry of x, the shape check 2 passes
+    outer = [[float(scaled_dyt(xj, DyTParams(alpha=ai, channels=cj))) for xj, cj in zip(x, c)] for ai in alpha]
+    np.testing.assert_array_equal(scaled_dyt(x, DyTParams(alpha=alpha[:, None], channels=c)), outer)
 
 
 class TestBetaExact:

@@ -238,6 +238,14 @@ class TestSimulate:
     def test_bad_channels(self, tmp_path):
         assert run("simulate", "--channels", 1, "--out", tmp_path / "x") == 2
 
+    def test_channels_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        # refused before anything is drawn (a C inside int64 this large would allocate 2C words)
+        out = tmp_path / "x"
+        assert run("simulate", "--channels", 2**63, "--out", out) == 2
+        err = "dynact simulate: channels must be <= 9223372036854775807, got 9223372036854775808\n"
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
     def test_repeat_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("simulate", "--seed", 42, "--out", a) == 0
@@ -303,6 +311,19 @@ class TestFit:
         assert run("fit", "--input", csv, "--kind", "dyisru") == 2
         assert run("fit", "--input", csv, "--kind", "dyisru", "--channels", 100,
                    "--out", tmp_path / "f") == 0
+
+    @pytest.mark.parametrize("kind", ["dyt", "dyisru"])
+    def test_channels_beyond_int64_is_usage_error(self, tmp_path, capsys, kind):
+        # points a C = 2**63 DyISRU reaches: each kind once wrote fit_<kind>.json before its figure
+        # failed (dyisru) or exited 0 (dyt), and a 401-digit count once ended in an OverflowError
+        csv = tmp_path / "d.csv"
+        xs = (0.5, 1.0, 2.0, 3.0, 5.0)
+        csv.write_text("".join(f"{x!r},{(2**63 - 1) ** 0.5 * x / (4 + x * x) ** 0.5!r}\n" for x in xs))
+        for channels in (2**63, 10**400):
+            out = tmp_path / "f"
+            assert run("fit", "--input", csv, "--kind", kind, "--channels", channels, "--out", out) == 2
+            assert capsys.readouterr().err.startswith("dynact fit: channels must be <= 9223372036854775807, got ")
+            assert not out.exists()
 
     def test_empty_csv(self, tmp_path):
         csv = tmp_path / "e.csv"

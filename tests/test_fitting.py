@@ -338,6 +338,11 @@ class TestFitResult:
             FitDataset([1.0], [0.5], channels=1)
         with pytest.raises(ValueError, match=r"^channels must be an integer, got 2\.5$"):
             FitDataset([1.0], [0.5], channels=2.5)
+        # the int64 bound of every channels field: a larger count once overflowed math.sqrt
+        FitDataset([1.0], [0.5], channels=2**63 - 1)
+        for big in (2**63, 10**400):
+            with pytest.raises(ValueError, match=r"^channels must be <= 9223372036854775807, got"):
+                FitDataset([1.0], [0.5], channels=big)
 
     @pytest.mark.parametrize("n_original", [0, 4, 7])
     def test_n_original_must_count_stored_points(self, n_original):

@@ -50,6 +50,7 @@ class TestConfig:
             ({"step": 1e308}, r"step \* s_max must be finite, got 1e\+308 \* 9"),
             # integer fields refuse a float rather than truncating it or failing later
             ({"channels": 2.5}, r"channels must be an integer, got 2\.5"),
+            ({"channels": 2**63}, "channels must be <= 9223372036854775807, got 9223372036854775808"),
             ({"s_max": 2.5}, r"s_max must be an integer, got 2\.5"),
             ({"seed": 2.5}, r"seed must be an integer, got 2\.5"),
         ]:
