@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from dynact.core_math import _INT64_MAX, as_channel_vector, _centered, _check_index, _check_integer
+from dynact.core_math import _INT64_MAX, as_channel_vector, _centered, _check_index, _check_integer, _nondegenerate
 
 # Floor for a channel-exact beta, as a multiple of the row's population variance:
 # beta = 0 is analytically valid but collapses DyISRU to a step, and an absolute
@@ -62,20 +62,20 @@ class DyISRUParams(_Params):
     def __post_init__(self):
         _check_positive("beta", self.beta)
         _check_channels(self.channels)
-        if not np.isfinite(self.mu).all():
+        if not (np.size(self.mu) and np.isfinite(self.mu).all()):  # an empty mu is refused too
             raise ValueError(f"mu must be finite, got {self.mu}")
 
 
 def _check_channels(channels) -> None:
-    """Refuse a channel count (or array) with an entry that is not an integer in [2, 2**63 - 1]."""
-    c = np.ravel(channels).tolist()  # a float array's entries stay floats
+    """Refuse a channel count (or array) that is empty or has an entry not an integer in [2, 2**63 - 1]."""
+    c = np.ravel(channels).tolist() or [channels]  # a float array's entries stay floats; [] is no integer
     for v in (min(c), max(c)):
         _check_integer("channels", v, 2, _INT64_MAX)
 
 
 def _check_positive(name: str, value) -> None:
-    """Refuse a value (or array) with an entry that is not finite and > 0, by a ValueError naming the field."""
-    if not (np.isfinite(value) & np.greater(value, 0)).all():
+    """Refuse a value (or array) that is empty or has an entry not finite and > 0, by a ValueError naming the field."""
+    if not (np.size(value) and (np.isfinite(value) & np.greater(value, 0)).all()):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
@@ -128,5 +128,5 @@ def beta_exact(x, i):
     dev, var = _centered(arr, keepdims=i.ndim > 0)
     sq = dev * dev
     # (C-1) * var_excluding_i is just the deviation sum of squares without i
-    beta = np.add.reduce(sq, axis=-1, keepdims=i.ndim > 0) - sq[..., i] - var
+    beta = np.add.reduce(sq, axis=-1, keepdims=i.ndim > 0) - sq[..., i] - _nondegenerate(var)
     return float(beta) if np.ndim(beta) == 0 else beta

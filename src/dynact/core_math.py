@@ -72,16 +72,16 @@ def _nondegenerate(var: np.ndarray) -> np.ndarray:
 
 
 def _centered(arr: np.ndarray, keepdims: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Row deviations x - mean and population variances; refuses a (near-)constant row."""
+    """Row deviations x - mean and population variances, computed nowhere else; refuses nothing."""
     dev = arr - _row_mean(arr)
-    return dev, _nondegenerate(_row_mean(dev**2, keepdims))
+    return dev, _row_mean(dev**2, keepdims)
 
 
 def layer_norm(x) -> np.ndarray:
     """Center and scale: y_i = (x_i - mean) / sqrt(population variance)."""
     dev, var = _centered(as_channel_vector(x))
     # dev is _centered's own array, so it takes the result
-    return np.divide(dev, np.sqrt(var), out=dev)
+    return np.divide(dev, np.sqrt(_nondegenerate(var)), out=dev)
 
 
 def ln_derivative_analytic(x, i):
@@ -96,7 +96,7 @@ def ln_derivative_analytic(x, i):
     c = arr.shape[-1]
     i = _check_index(i, c)
     dev, var = _centered(arr, keepdims=i.ndim > 0)
-    sd = np.sqrt(var)
+    sd = np.sqrt(_nondegenerate(var))
     y_i = dev[..., i] / sd
     d = (1.0 / (c * sd)) * (c - 1 - y_i**2)
     return float(d) if np.ndim(d) == 0 else d

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from dynact.activations import BETA_MIN, DyISRUParams, DyTParams, beta_exact, dyisru, isru, scaled_dyt
-from dynact.core_math import _check_integer, _nondegenerate, _row_mean, as_channel_vector
+from dynact.core_math import _centered, _check_integer, _nondegenerate, _row_mean, as_channel_vector
 from dynact.core_math import layer_norm, ln_derivative_analytic
 from dynact.rng import CounterRng, _box_muller, randints, uniforms
 
@@ -70,17 +70,16 @@ def ln_derivative_fd(x) -> np.ndarray:
     """Central-difference d(layer_norm(x)_i)/dx_i for each channel i of each row of (..., C) x.
 
     Each side is layer_norm's diagonal over the (..., C, C) stack of bumped copies of x, bit
-    for bit: the same steps, done in place on one stack, and only the diagonal divided.
+    for bit: the stack goes through layer_norm's own _centered, and only the diagonal is divided.
     """
     arr = as_channel_vector(x)
     sides = []
     for h in (FD_STEP, -FD_STEP):
         stack = np.repeat(arr[..., None, :], arr.shape[-1], axis=-2)
-        diag = np.einsum("...ii->...i", stack)  # a view: x_i + h, then its deviation
-        diag += h
-        stack -= _row_mean(stack)
-        dev = diag.copy()  # before the squares overwrite the stack
-        sides.append(dev / np.sqrt(_nondegenerate(_row_mean(np.square(stack, out=stack), keepdims=False))))
+        np.einsum("...ii->...i", stack)[...] += h  # a view of the diagonal: x_i + h
+        dev, var = _centered(stack, keepdims=False)
+        sides.append(np.einsum("...ii->...i", dev) / np.sqrt(_nondegenerate(var)))
+        del stack, dev  # before the next side's stack: four live at C = 100 re-fault heap pages each call
     return (sides[0] - sides[1]) / (2.0 * FD_STEP)
 
 
@@ -109,7 +108,7 @@ def _draw_vectors(rng: CounterRng, cs):
         flat = np.repeat(sigma, cs[:n]) * _box_muller(np.delete(words, sigma_at))
         c_set, counts = np.unique(cs[:n], return_counts=True)
         mats = [m.reshape(-1, k) for m, k in zip(np.split(flat, np.cumsum(c_set * counts)[:-1]), c_set)]
-        ok = np.concatenate([_row_mean((x - _row_mean(x)) ** 2, keepdims=False) for x in mats]) >= _REDRAW_VAR
+        ok = np.concatenate([_centered(x, keepdims=False)[1] for x in mats]) >= _REDRAW_VAR
         kept = n if ok.all() else int(ok.argmin())
         rng.skip(int(ends[min(kept, n - 1)]))
         cs = cs[kept:]
@@ -220,11 +219,10 @@ def check_theorem4(seed: int, trials: int = 500) -> CheckResult:
     for x in _draw_vectors(rng, cs):
         c = x.shape[-1]
         ys.append(layer_norm(x).ravel())
-        mu = _row_mean(x)
         # beta is exactly 0 at C = 2, so its floor scales with the row's variance: an
         # absolute floor is above rounding for a narrow row
-        beta = np.maximum(beta_exact(x, np.arange(c)), BETA_MIN * _row_mean((x - mu) ** 2))
-        ds.append(dyisru(x, DyISRUParams(beta=beta, channels=c, mu=mu)).ravel())
+        beta = np.maximum(beta_exact(x, np.arange(c)), BETA_MIN * _centered(x)[1])
+        ds.append(dyisru(x, DyISRUParams(beta=beta, channels=c, mu=_row_mean(x))).ravel())
     y = np.concatenate(ys)
     abs_err = np.abs(np.concatenate(ds) - y)
     return _result("channel_exact_beta_vs_ln", trials, abs_err, abs_err / np.maximum(np.abs(y), _TINY), 1e-10)

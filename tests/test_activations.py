@@ -42,6 +42,11 @@ class TestParams:
         assert hash(p) == hash(DyTParams(alpha=[0.5], channels=3))
         assert p != DyTParams(alpha=0.5, channels=3)
         assert DyTParams(alpha=1.0, channels=np.int64(3)).channels == 3
+        # an empty field is refused by name, not by min() or by an all() over no entries
+        with pytest.raises(ValueError, match=r"^alpha must be finite and > 0, got \[\]$"):
+            DyTParams(alpha=np.array([]), channels=3)
+        with pytest.raises(ValueError, match=r"^channels must be an integer, got \[\]$"):
+            DyTParams(alpha=1.0, channels=[])
 
     def test_dyisru_validation(self):
         for P in PARAMS:
@@ -66,12 +71,18 @@ class TestParams:
                     P(np.array([0.5, bad]), 2)
                 with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
                     P([1.0, bad], 3)
+            # no entry at all is not an entry > 0
+            for empty in ([], np.array([])):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got \\[\\]$"):
+                    P(empty, 3)
         # a NaN mu would make Params unequal to themselves and dyisru all NaN, an infinite one NaN too
         with pytest.raises(ValueError, match=r"^mu must be finite, got nan$"):
             DyISRUParams(beta=1.0, channels=3, mu=math.nan)
         for bad in (math.inf, -math.inf, np.array([[0.5], [math.nan]])):
             with pytest.raises(ValueError, match="^mu must be finite, got"):
                 DyISRUParams(beta=1.0, channels=3, mu=bad)
+        with pytest.raises(ValueError, match=r"^mu must be finite, got \[\]$"):
+            DyISRUParams(beta=1.0, channels=3, mu=np.array([]))
 
     def test_dyisru_array_channels_validation(self):
         for P in PARAMS:
@@ -90,6 +101,10 @@ class TestParams:
                     P(1.0, big)
             with pytest.raises(ValueError, match="^channels must be >= 2, got"):
                 P(1.0, -(10**30))
+            # an empty channel array has no integer to bound
+            for empty in ([], np.array([], dtype=np.int64), np.zeros((2, 0))):
+                with pytest.raises(ValueError, match=r"^channels must be an integer, got"):
+                    P(1.0, empty)
 
     def test_dyisru_row_mu_equality_and_hash(self):
         # one mu per row of a (k, C) stack takes part in equality and hashing
@@ -276,6 +291,9 @@ class TestIsru:
             # one bad entry refuses an array alpha
             with pytest.raises(ValueError, match="alpha must be finite and > 0"):
                 isru([1.0, 2.0], np.array([0.5, alpha]))
+        # an empty alpha is refused too, not broadcast to an empty result
+        with pytest.raises(ValueError, match=r"^alpha must be finite and > 0, got \[\]$"):
+            isru(1.0, np.array([]))
 
     @given(xs, st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
     def test_odd(self, x, alpha):

@@ -23,6 +23,18 @@ def nondegenerate(values):
     return float(np.var(arr)) > 1e-8
 
 
+@pytest.mark.parametrize(
+    "f",
+    [layer_norm, lambda x: ln_derivative_analytic(x, 0), lambda x: beta_exact(x, 0)],
+    ids=["layer_norm", "ln_derivative_analytic", "beta_exact"],
+)
+def test_near_constant_row_refused(f):
+    # the mean rounds to 1.0, so the variance is 2**-105 = 2.47e-32: each public function
+    # refuses it, since _centered computes the variance without refusing it
+    with pytest.raises(DegenerateVariance, match="at or below the degeneracy threshold"):
+        f([1.0, 1.0 + 2**-52])
+
+
 class TestLayerNorm:
     def test_already_standardized(self):
         np.testing.assert_array_equal(layer_norm([1.0, -1.0]), [1.0, -1.0])

@@ -168,7 +168,7 @@ class TestFiniteDifferenceReference:
 
     def test_memory_stays_bounded(self):
         # whole (3, 100, 100) reference stacks at C = 100 peak at 1.15 MB; one
-        # trial's stack, centered and squared in place, keeps the peak near 0.2 MB
+        # trial's stack, its deviations and their squares keep the peak near 0.28 MB
         tracemalloc.start()
         try:
             check_theorem1(seed=1, trials=10)
