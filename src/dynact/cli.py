@@ -1,8 +1,9 @@
 """Command-line front end: verify, simulate, fit, figures.
 
-Exit codes: 0 success, 1 failed check or fit, 2 usage/input error, 3 I/O
-error. All randomness flows from --seed; reruns with the same flags produce
-byte-identical CSV and JSON artifacts.
+Exit codes: 0 success, 1 failed check or fit, 2 usage/input error, 3 I/O error. A command
+refuses its input by raising ValueError; only `main` reports it, as one stderr line
+`dynact <command>: <message>` with exit 2, and nothing is written. All randomness flows
+from --seed; reruns with the same flags produce byte-identical CSV and JSON artifacts.
 """
 
 from __future__ import annotations
@@ -244,16 +245,12 @@ def cmd_simulate(args) -> int:
             # a repeated index draws its frame once
             frames = list(dict.fromkeys(int(s) for s in args.frames.split(",") if s.strip() != ""))
         except ValueError:
-            print(f"dynact simulate: bad --frames value {args.frames!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"bad --frames value {args.frames!r}") from None
         outside = [s for s in frames if not 0 <= s <= config.s_max]
         if outside:
-            print(
-                f"dynact simulate: --frames {','.join(map(str, outside))} outside the valid "
-                f"range [0, {config.s_max}] set by --s-max",
-                file=sys.stderr,
+            raise ValueError(
+                f"--frames {','.join(map(str, outside))} outside the valid range [0, {config.s_max}] set by --s-max"
             )
-            return EXIT_USAGE
     out = _Out(args.out)
     _simulate_files(out, config, frames)
     out.write_manifest("simulate", {**dataclasses.asdict(config), "frames": frames}, config.seed)
@@ -266,8 +263,7 @@ def cmd_fit(args) -> int:
         raise ValueError("no fit points in input CSV")
     channels = args.channels if args.channels is not None else inferred_channels
     if channels is None:
-        print("dynact fit: --channels is required for plain x,y input", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--channels is required for plain x,y input")
     out = _Out(args.out, keep=args.input)
     [result] = _fit_files(out, points, channels, [args.kind])
     out.write(f"fit_{args.kind}.svg", _fit_figure(points, [result], channels))

@@ -47,13 +47,6 @@ _TWO_POW_MINUS_53 = 2.0**-53
 _TWO_PI = 2.0 * math.pi
 
 
-def _finalize(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 # uint64 operands keep the array arithmetic in uint64, wrapping mod 2**64
 _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
@@ -120,7 +113,7 @@ class CounterRng:
         key = int(seed) & _MASK
         if stream:
             key ^= _fnv1a64(stream)
-        self._key = _finalize(key)
+        self._key = int(_words(key, 0, 1)[0])  # the finalized key: its word at counter 0
         self._counter = 0
 
     def peek(self, n: int) -> np.ndarray:

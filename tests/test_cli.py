@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -20,6 +21,29 @@ def run(*argv):
 
 def listing(out):
     return sorted(p.name for p in out.iterdir())
+
+
+def refusal_reporters(source):
+    """Functions in source, other than main, that name EXIT_USAGE or print to sys.stderr."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            names_usage = "EXIT_USAGE" in (getattr(node, "id", None), getattr(node, "attr", None))
+            to_stderr = (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "print"
+                and any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords)
+            )
+            if names_usage or to_stderr:
+                found.add(func.name)
+    return sorted(found)
+
+
+def test_only_main_reports_a_refusal():
+    # a command refuses by raising ValueError; main alone prints it and picks exit 2
+    assert refusal_reporters(Path(cli.__file__).read_text(encoding="utf-8")) == []
 
 
 def assert_manifest_lists_directory(out, command):
@@ -189,13 +213,13 @@ class TestSimulate:
         out = tmp_path / "sim"
         assert run("simulate", "--seed", 0, "--frames", "0,50,-1", "--out", out) == 2
         err = capsys.readouterr().err
-        assert "50,-1" in err and "[0, 9]" in err
+        assert err == "dynact simulate: --frames 50,-1 outside the valid range [0, 9] set by --s-max\n"
         assert not out.exists()
 
     def test_non_integer_frame_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "sim"
         assert run("simulate", "--frames", "1,x", "--out", out) == 2
-        assert "bad --frames value '1,x'" in capsys.readouterr().err
+        assert capsys.readouterr().err == "dynact simulate: bad --frames value '1,x'\n"
         assert not out.exists()
 
     def test_manifest_lists_rendered_frames(self, tmp_path):
@@ -305,12 +329,14 @@ class TestFit:
         assert 0.03 <= doc["parameter"] <= 0.07
         assert 0.15 <= doc["mae"] <= 0.6
 
-    def test_plain_xy_requires_channels(self, tmp_path):
+    def test_plain_xy_requires_channels(self, tmp_path, capsys):
         csv = tmp_path / "d.csv"
         csv.write_text("x,y\n5.0,2.0\n10.0,3.0\n")
-        assert run("fit", "--input", csv, "--kind", "dyisru") == 2
-        assert run("fit", "--input", csv, "--kind", "dyisru", "--channels", 100,
-                   "--out", tmp_path / "f") == 0
+        out = tmp_path / "f"
+        assert run("fit", "--input", csv, "--kind", "dyisru", "--out", out) == 2
+        assert capsys.readouterr().err == "dynact fit: --channels is required for plain x,y input\n"
+        assert listing(tmp_path) == ["d.csv"]
+        assert run("fit", "--input", csv, "--kind", "dyisru", "--channels", 100, "--out", out) == 0
 
     @pytest.mark.parametrize("kind", ["dyt", "dyisru"])
     def test_channels_beyond_int64_is_usage_error(self, tmp_path, capsys, kind):
