@@ -13,7 +13,6 @@ from dynact.core_math import (
     ln_derivative_analytic,
 )
 from dynact.activations import (
-    BETA_MIN,
     DyISRUParams,
     DyTParams,
     beta_exact,
@@ -42,7 +41,6 @@ from dynact.verification import VerificationReport, run_all_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "BETA_MIN",
     "BracketFailure",
     "DegenerateVariance",
     "DyISRUParams",

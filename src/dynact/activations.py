@@ -13,9 +13,9 @@ import numpy as np
 
 from dynact.core_math import _INT64_MAX, as_channel_vector, _centered, _check_index, _check_integer, _nondegenerate
 
-# Floor for a channel-exact beta, as a multiple of the row's population variance:
-# beta = 0 is analytically valid but collapses DyISRU to a step, and an absolute
-# floor can be above rounding on a narrow row.
+# Floor of beta_exact, as a multiple of the row's population variance: beta = 0 is
+# analytically valid but collapses DyISRU to a step, and an absolute floor can be
+# above rounding on a narrow row.
 BETA_MIN = 1e-18
 
 
@@ -116,17 +116,18 @@ def beta_exact(x, i):
     """Channel-exact beta making DyISRU with mu = mean(x) reproduce layer_norm on channel i.
 
     Equals (C-1) * var_excluding_i - var, where var_excluding_i uses divisor
-    C-1 over the channels k != i. Always >= 0 analytically (it is a squared
-    integration constant); may be exactly 0 (always at C = 2), so floor it at
-    BETA_MIN times the row's population variance before building DyISRUParams
-    from it, as verification's check 4 does. An int ``i`` on one vector gives
-    a float, an integer index array the betas at those channels of each row of a
-    (..., C) x. A (near-)constant vector raises DegenerateVariance.
+    C-1 over the channels k != i. That is >= 0 analytically, but exactly 0 at
+    C = 2 and 0 or below by rounding when the other channels are all equal, so
+    it is floored at BETA_MIN times the row's population variance: always > 0,
+    a beta DyISRUParams accepts. An int ``i`` on one vector gives a float, an
+    integer index array the betas at those channels of each row of a (..., C)
+    x. A (near-)constant vector raises DegenerateVariance.
     """
     arr = as_channel_vector(x)
     i = _check_index(i, arr.shape[-1])
     dev, var = _centered(arr, keepdims=i.ndim > 0)
+    var = _nondegenerate(var)
     sq = dev * dev
     # (C-1) * var_excluding_i is just the deviation sum of squares without i
-    beta = np.add.reduce(sq, axis=-1, keepdims=i.ndim > 0) - sq[..., i] - _nondegenerate(var)
+    beta = np.maximum(np.add.reduce(sq, axis=-1, keepdims=i.ndim > 0) - sq[..., i] - var, BETA_MIN * var)
     return float(beta) if np.ndim(beta) == 0 else beta

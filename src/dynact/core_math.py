@@ -14,6 +14,7 @@ import numpy as np
 VAR_EPSILON = 1e-24
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1  # the range of integer fields numpy computes with
+_SEED_RANGE = (_INT64_MIN, (1 << 64) - 1)  # int64 and uint64 seeds; a negative seed s draws the streams of s + 2**64
 
 
 class DegenerateVariance(ValueError):

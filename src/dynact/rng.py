@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from dynact.core_math import _INT64_MAX, _INT64_MIN, _check_integer
+from dynact.core_math import _INT64_MAX, _INT64_MIN, _SEED_RANGE, _check_integer
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -109,7 +109,7 @@ class CounterRng:
     """Counter-indexed splitmix64 stream: raw words by peek and skip, Gaussian draws by normals."""
 
     def __init__(self, seed: int, stream: str = ""):
-        _check_integer("seed", seed)
+        _check_integer("seed", seed, *_SEED_RANGE)
         key = int(seed) & _MASK
         if stream:
             key ^= _fnv1a64(stream)

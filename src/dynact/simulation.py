@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dynact.core_math import _INT64_MAX, _check_integer, layer_norm
+from dynact.core_math import _INT64_MAX, _SEED_RANGE, _check_integer, layer_norm
 from dynact.rng import CounterRng
 
 CSV_HEADER = ["s", "channel", "x", "y", "is_outlier"]
@@ -46,7 +46,7 @@ class SimulationConfig:
         if not 0 < self.step < math.inf:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
         _check_integer("s_max", self.s_max, 0)
-        _check_integer("seed", self.seed)
+        _check_integer("seed", self.seed, *_SEED_RANGE)
         if not math.isfinite(self.step * self.s_max):
             raise ValueError(f"step * s_max must be finite, got {self.step} * {self.s_max}")
 

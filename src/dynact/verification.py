@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from dynact.activations import BETA_MIN, DyISRUParams, DyTParams, beta_exact, dyisru, isru, scaled_dyt
+from dynact.activations import DyISRUParams, DyTParams, beta_exact, dyisru, isru, scaled_dyt
 from dynact.core_math import _centered, _check_integer, _nondegenerate, _row_mean, as_channel_vector
 from dynact.core_math import layer_norm, ln_derivative_analytic
 from dynact.rng import CounterRng, _box_muller, randints, uniforms
@@ -219,10 +219,8 @@ def check_theorem4(seed: int, trials: int = 500) -> CheckResult:
     for x in _draw_vectors(rng, cs):
         c = x.shape[-1]
         ys.append(layer_norm(x).ravel())
-        # beta is exactly 0 at C = 2, so its floor scales with the row's variance: an
-        # absolute floor is above rounding for a narrow row
-        beta = np.maximum(beta_exact(x, np.arange(c)), BETA_MIN * _centered(x)[1])
-        ds.append(dyisru(x, DyISRUParams(beta=beta, channels=c, mu=_row_mean(x))).ravel())
+        p = DyISRUParams(beta=beta_exact(x, np.arange(c)), channels=c, mu=_row_mean(x))
+        ds.append(dyisru(x, p).ravel())
     y = np.concatenate(ys)
     abs_err = np.abs(np.concatenate(ds) - y)
     return _result("channel_exact_beta_vs_ln", trials, abs_err, abs_err / np.maximum(np.abs(y), _TINY), 1e-10)

@@ -15,7 +15,7 @@ from dynact.activations import (
     isru,
     scaled_dyt,
 )
-from dynact.core_math import DegenerateVariance, IndexOutOfRange, layer_norm
+from dynact.core_math import DegenerateVariance, IndexOutOfRange, _centered, layer_norm
 from dynact.fitting import fit_dyisru, fit_dyt, mirror_augment
 from dynact.simulation import SimulationConfig, outlier_points, run_scenario
 
@@ -326,7 +326,8 @@ def test_array_channels_and_alpha_match_scalar_calls(rows, mu):
 
 class TestBetaExact:
     def test_symmetric_pair(self):
-        assert beta_exact([1.0, -1.0], 0) == 0.0
+        # analytically 0 at C = 2, so it is the floor: BETA_MIN times the row's variance of 1
+        assert beta_exact([1.0, -1.0], 0) == BETA_MIN
 
     def test_hand_arithmetic(self):
         # x = (3, 0, 0): var 2; excluding channel 1 the divisor-2 variance is 2.5
@@ -354,11 +355,19 @@ class TestBetaExact:
             c = rng.integers(2, 101)
             x = rng.normal(scale=rng.uniform(0.1, 10.0), size=c)
             scalar = [beta_exact(x, i) for i in range(c)]
-            assert all(isinstance(b, float) and b >= -1e-12 for b in scalar)
+            assert all(isinstance(b, float) and b > 0 for b in scalar)
             # an index array gives the scalar calls' values bit for bit
             idx = np.arange(c)
             np.testing.assert_array_equal(beta_exact(x, idx), scalar)
             np.testing.assert_array_equal(beta_exact(x, idx[::-1]), scalar[::-1])
+
+    def test_other_channels_equal(self):
+        # rounding left the unfloored beta at -8.9e-16 on channel 0, which DyISRUParams refused
+        x = np.array([3.7, 0.1, 0.1, 0.1, 0.1])
+        beta = beta_exact(x, np.arange(x.size))
+        assert (beta > 0).all()
+        d = dyisru(x, DyISRUParams(beta=beta, channels=x.size, mu=x.mean()))
+        np.testing.assert_allclose(d, layer_norm(x), rtol=1e-10)
 
     def test_ln_equivalence_brute_force(self):
         # channel-exact beta reproduces layer normalization per channel
@@ -383,6 +392,27 @@ class TestBetaExact:
         d = dyisru(0.0, DyISRUParams(beta=3.0, channels=3, mu=1.0))
         assert float(d) == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-14)
         assert float(d) == pytest.approx(y[1], rel=1e-14)
+
+
+@given(
+    st.integers(min_value=2, max_value=100),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.booleans(),
+)
+def test_beta_exact_is_a_legal_beta(c, seed, log10_scale, log10_offset, others_equal):
+    # at least BETA_MIN times the row's variance, also where the unfloored value rounds to 0
+    # or below (C = 2, or every other channel equal), so DyISRUParams takes it as it is
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal(c)
+    if others_equal:
+        x[1:] = x[0] + gen.choice([-1.0, 1.0]) * gen.uniform(0.5, 5.0)
+    x = x * 10.0**log10_scale + gen.choice([-1.0, 1.0]) * 10.0**log10_offset
+    idx = np.arange(c)
+    beta = beta_exact(x, idx)
+    assert (beta >= BETA_MIN * _centered(x)[1]).all()
+    DyISRUParams(beta=beta, channels=c, mu=x.mean())
 
 
 def test_dyt_reaches_extremum_before_dyisru():

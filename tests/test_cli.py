@@ -14,6 +14,12 @@ from dynact.cli import main
 from dynact.fitting import fit_dyisru, fit_dyt, mirror_augment
 from dynact.simulation import SimulationConfig, outlier_points, run_scenario
 
+# a seed lies in [-2**63, 2**64 - 1]; one past either end is refused before anything is drawn
+SEED_REFUSALS = [
+    (-(2**63) - 1, "seed must be >= -9223372036854775808, got -9223372036854775809"),
+    (2**64, "seed must be <= 18446744073709551615, got 18446744073709551616"),
+]
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -73,6 +79,13 @@ class TestVerify:
         out = tmp_path / "r.json"
         assert run("verify", "--trials", 0, "--out", out) == 2
         assert "trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, message", SEED_REFUSALS, ids=["below_int64", "above_uint64"])
+    def test_seed_outside_its_range_is_usage_error(self, tmp_path, capsys, seed, message):
+        out = tmp_path / "r.json"
+        assert run("verify", f"--seed={seed}", "--trials", 1, "--out", out) == 2
+        assert capsys.readouterr().err == f"dynact verify: {message}\n"
         assert not out.exists()
 
     def test_unwritable_path(self):
@@ -268,6 +281,13 @@ class TestSimulate:
         assert run("simulate", "--channels", 2**63, "--out", out) == 2
         err = "dynact simulate: channels must be <= 9223372036854775807, got 9223372036854775808\n"
         assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, message", SEED_REFUSALS, ids=["below_int64", "above_uint64"])
+    def test_seed_outside_its_range_is_usage_error(self, tmp_path, capsys, seed, message):
+        out = tmp_path / "sim"
+        assert run("simulate", f"--seed={seed}", "--out", out) == 2
+        assert capsys.readouterr().err == f"dynact simulate: {message}\n"
         assert not out.exists()
 
     def test_repeat_is_byte_identical(self, tmp_path):

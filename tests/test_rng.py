@@ -125,6 +125,26 @@ def test_seed_and_counts_must_be_integers():
     assert ScalarRng(np.uint64(7), "sample_base").u64() == ScalarRng(7, "sample_base").u64()
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-(2**63) - 1, "seed must be >= -9223372036854775808, got -9223372036854775809"),
+        (2**64, "seed must be <= 18446744073709551615, got 18446744073709551616"),
+    ],
+    ids=["below_int64", "above_uint64"],
+)
+def test_seed_outside_int64_and_uint64_is_refused(seed, message):
+    # seeds 2**64 apart used to draw the same streams under different names
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CounterRng(seed, "sample_base")
+
+
+@pytest.mark.parametrize("seed", [-(2**63), -1])
+def test_negative_seed_draws_the_streams_of_seed_plus_two_pow_64(seed):
+    # the one alias the bound leaves
+    assert ScalarRng(seed, "sample_base").u64() == ScalarRng(seed + 2**64, "sample_base").u64()
+
+
 def test_peek_and_randint_refuse_non_integers():
     # peek(2.5) used to return 3 words and peek(-1) none; randint(0, 2.5) returned the float 1.5
     rng, untouched = ScalarRng(7, "sample_base"), ScalarRng(7, "sample_base")

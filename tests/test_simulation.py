@@ -59,6 +59,15 @@ class TestConfig:
         # a step whose product with s_max would overflow is fine with no step taken
         SimulationConfig(step=1e308, s_max=0)
 
+    def test_seed_outside_int64_and_uint64_is_refused(self):
+        # refused when the config is built, before CounterRng sees it
+        with pytest.raises(ValueError, match="^seed must be >= -9223372036854775808, got -9223372036854775809$"):
+            SimulationConfig(seed=-(2**63) - 1)
+        with pytest.raises(ValueError, match="^seed must be <= 18446744073709551615, got 18446744073709551616$"):
+            SimulationConfig(seed=2**64)
+        SimulationConfig(seed=-(2**63))
+        SimulationConfig(seed=2**64 - 1)
+
 
 class TestSampleBase:
     def test_deterministic(self):

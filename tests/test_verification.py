@@ -56,6 +56,13 @@ class TestIndividualChecks:
             run_all_checks(1.5, 3)
         assert run_all_checks(np.int64(1), 3).to_dict() == run_all_checks(1, 3).to_dict()
 
+    def test_seed_outside_int64_and_uint64_is_refused(self):
+        # seed 2**64 + 1 used to report seed 1's errors under its own name
+        with pytest.raises(ValueError, match="^seed must be >= -9223372036854775808, got -9223372036854775809$"):
+            run_all_checks(-(2**63) - 1, 3)
+        with pytest.raises(ValueError, match="^seed must be <= 18446744073709551615, got 18446744073709551616$"):
+            run_all_checks(2**64, 3)
+
     def test_dyt_ode_identity(self):
         result = check_theorem2()
         assert result.passed
