@@ -21,6 +21,7 @@ import numpy as np
 import dynact
 from dynact.activations import DyISRUParams, DyTParams, dyisru, scaled_dyt
 from dynact.fitting import BracketFailure, FitResult, fit_dyisru, fit_dyt, mirror_augment
+from dynact.rng import STREAM_VERSION
 from dynact.simulation import (
     OutlierScenario,
     SimulationConfig,
@@ -131,14 +132,12 @@ class _Out:
             if path.resolve() != self.keep:
                 path.unlink(missing_ok=True)
 
-    def write_manifest(self, command: str, config: dict, seed: int) -> None:
-        manifest = {
-            "command": command,
-            "config": config,
-            "seed": seed,
-            "artifacts": sorted(self.names),
-            "tool_version": dynact.__version__,
-        }
+    def write_manifest(self, command: str, config: dict, seed: int, stream: int | None = None) -> None:
+        """`stream`, the rng stream version that drew the artifacts, is recorded after the seed."""
+        manifest = {"command": command, "config": config, "seed": seed}
+        if stream is not None:
+            manifest["stream"] = stream
+        manifest |= {"artifacts": sorted(self.names), "tool_version": dynact.__version__}
         self.write("manifest.json", json.dumps(manifest, indent=2) + "\n")
 
     def print_summary(self, as_json: bool) -> int:
@@ -253,7 +252,7 @@ def cmd_simulate(args) -> int:
             )
     out = _Out(args.out)
     _simulate_files(out, config, frames)
-    out.write_manifest("simulate", {**dataclasses.asdict(config), "frames": frames}, config.seed)
+    out.write_manifest("simulate", {**dataclasses.asdict(config), "frames": frames}, config.seed, STREAM_VERSION)
     return out.print_summary(args.json)
 
 
@@ -313,7 +312,7 @@ def cmd_figures(args) -> int:
     simulation = dataclasses.asdict(config)
     del simulation["seed"]  # the manifest keeps the seed at its top level
     fig1 = {"channels": FIG1_CHANNELS, "alphas": list(FIG1_ALPHAS), "betas": list(FIG1_BETAS)}
-    out.write_manifest("figures", {"seed": args.seed, "fig1": fig1, "simulation": simulation}, args.seed)
+    out.write_manifest("figures", {"seed": args.seed, "fig1": fig1, "simulation": simulation}, args.seed, STREAM_VERSION)
     return out.print_summary(args.json)
 
 

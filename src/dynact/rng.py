@@ -14,18 +14,18 @@ takes the next counter value(s) in order; ``peek`` reads them and ``skip`` consu
   ``sqrt(-2 log u1) * cos(2 pi u2)``.
 
 Because each word depends only on its counter, ``peek`` computes a whole
-counter range at once with wrapping ``np.uint64`` arithmetic. ``u1``
-and ``u2`` are exact, and multiplication and sqrt are correctly rounded, so
-numpy reproduces those steps bit for bit. ``log`` and ``cos`` are not
-correctly rounded: numpy's own versions differ from the C library's in the
-last bit on about 0.2% of draws, so they go through ``math.log`` and
-``math.cos``. Given the same seed and the same C library, the same draws
-come out on every run, and the CSV and JSON artifacts built from them are
-byte-identical.
+counter range at once with wrapping ``np.uint64`` arithmetic. ``u1`` and
+``u2`` are exact, and ``log`` and ``cos`` are built only from ``+``, ``-``,
+``*``, ``/``, ``sqrt``, ``frexp``, ``rint``, exact integer conversions and
+lookups in correctly rounded tables (see ``_log_u1`` and ``_cos_2pi_u2``).
+Each of those steps is correctly rounded or exact, in every numpy SIMD path
+and in Python floats alike, so given the same seed the same draws come out
+on any platform with IEEE-754 doubles, and the CSV and JSON artifacts built
+from them are byte-identical.
 
 Any change to the values this module returns, or to how many counter values
 a draw takes, is a new stream version: record it explicitly in CHANGES.md.
-``tests/test_rng.py`` freezes the current stream.
+``STREAM_VERSION`` names the current stream, and ``tests/test_rng.py`` freezes it.
 """
 
 from __future__ import annotations
@@ -43,13 +43,71 @@ _MIX2 = 0x94D049BB133111EB
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
-_TWO_POW_MINUS_53 = 2.0**-53
-_TWO_PI = 2.0 * math.pi
-
+STREAM_VERSION = 2  # version 1 took log and cos from the C library
 
 # uint64 operands keep the array arithmetic in uint64, wrapping mod 2**64
 _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+
+# The tables below are correctly rounded; tests/test_rng.py checks every entry against a
+# 50-digit decimal value. log(j / 64) for the centres j / 64, j = 46 .. 90:
+_LOG_CENTRES = np.array([
+    -0.33024168687057687, -0.3087354816496133, -0.2876820724517809, -0.26706278524904525,
+    -0.24686007793152578, -0.22705745063534608, -0.2076393647782445, -0.18859116980755003,
+    -0.16989903679539747, -0.15154989812720093, -0.13353139262452263, -0.1158318155251217,
+    -0.09844007281325252, -0.0813456394539524, -0.06453852113757118, -0.048009219186360606,
+    -0.0317486983145803, -0.015748356968139168, 0.0, 0.015504186535965254,
+    0.030771658666753687, 0.0458095360312942, 0.06062462181643484, 0.07522342123758753,
+    0.08961215868968714, 0.10379679368164356, 0.11778303565638346, 0.13157635778871926,
+    0.1451820098444979, 0.15860503017663857, 0.17185025692665923, 0.184922338494012,
+    0.19782574332991987, 0.21056476910734964, 0.22314355131420976, 0.2355660713127669,
+    0.24783616390458127, 0.25995752443692605, 0.27193371548364176, 0.2837681731306446,
+    0.2954642128938359, 0.3070250352949119, 0.3184537311185346, 0.329753286372468,
+    0.3409265869705932,
+])
+# log(1 + j/64) at index j for j = 0 .. 26, and at index j from the end for j = -18 .. -1
+_LOG_1P = np.roll(_LOG_CENTRES, 46 - 64)
+# cos(r pi / 128) for r = 0 .. 64, a quarter wave; exact symmetries give r = 0 .. 256
+_COS_QUARTER = np.array([
+    1.0, 0.9996988186962042, 0.9987954562051724, 0.9972904566786902,
+    0.9951847266721969, 0.99247953459871, 0.989176509964781, 0.9852776423889412,
+    0.9807852804032304, 0.9757021300385286, 0.970031253194544, 0.9637760657954398,
+    0.9569403357322088, 0.9495281805930367, 0.9415440651830208, 0.9329927988347388,
+    0.9238795325112867, 0.9142097557035307, 0.9039892931234433, 0.8932243011955153,
+    0.881921264348355, 0.8700869911087115, 0.8577286100002721, 0.8448535652497071,
+    0.8314696123025452, 0.8175848131515837, 0.8032075314806449, 0.7883464276266062,
+    0.773010453362737, 0.7572088465064846, 0.7409511253549591, 0.7242470829514669,
+    0.7071067811865476, 0.6895405447370669, 0.6715589548470184, 0.6531728429537768,
+    0.6343932841636455, 0.6152315905806268, 0.5956993044924334, 0.5758081914178453,
+    0.5555702330196022, 0.5349976198870973, 0.5141027441932218, 0.49289819222978404,
+    0.47139673682599764, 0.4496113296546066, 0.4275550934302821, 0.40524131400498986,
+    0.3826834323650898, 0.35989503653498817, 0.33688985339222005, 0.31368174039889146,
+    0.2902846772544624, 0.26671275747489837, 0.2429801799032639, 0.2191012401568698,
+    0.19509032201612828, 0.17096188876030122, 0.14673047445536175, 0.1224106751992162,
+    0.0980171403295606, 0.07356456359966743, 0.049067674327418015, 0.024541228522912288,
+    0.0,
+])
+_COS = np.concatenate([_COS_QUARTER, -_COS_QUARTER[63::-1], -_COS_QUARTER[1:64], _COS_QUARTER[64::-1]])
+_SIN = _COS[(np.arange(257) - 64) % 256]  # sin x = cos(x - pi / 2)
+
+# The constants of _log_u1 and _cos_2pi_u2 are 0-d arrays: numpy combines an array with one faster
+# than with a Python float, and at the sizes that checks 1 and 4 draw a call costs more than
+# its arithmetic
+_ONE, _TWO, _MINUS_TWO, _64, _128 = (np.array(c) for c in (1.0, 2.0, -2.0, 64.0, 128.0))
+_POW_MINUS_53, _POW_MINUS_45 = np.array(2.0**-53), np.array(2.0**-45)
+_SQRT_HALF = np.array(math.sqrt(0.5))
+# ln 2 = _LN2_HI + _LN2_LO to about 2**-85; _LN2_HI ends in 21 zero bits, so e * _LN2_HI is exact
+_LN2_HI = np.array(float.fromhex("0x1.62e42feep-1"))
+_LN2_LO = np.array(float.fromhex("0x1.a39ef35793c76p-33"))
+_PI_OVER_128 = np.array(math.pi / 128)
+# Taylor coefficients: atanh(s) = s + s x (A3 + x (A5 + x A7)) for x = s**2, and for x = phi**2
+# 1 - cos(phi) = x (H2 + x (H4 + x H6)) and sin(phi) = phi + phi x (S3 + x (S5 + x S7))
+_A3, _A5, _A7 = (np.array(c) for c in (1 / 3, 1 / 5, 1 / 7))
+_H2, _H4, _H6 = (np.array(c) for c in (1 / 2, -1 / 24, 1 / 720))
+_S3, _S5, _S7 = (np.array(c) for c in (-1 / 6, 1 / 120, -1 / 5040))
+# draws per pass: one pass over 4096 draws took 1.7x as long as two passes of 2048, as
+# the temporaries outgrew what the allocator keeps between calls
+_BLOCK = 2048
 
 
 def _words(key: int, first: int, count: int) -> np.ndarray:
@@ -67,22 +125,56 @@ def _words(key: int, first: int, count: int) -> np.ndarray:
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
     """Standard normals from consecutive (u1, u2) word pairs, as uint64."""
-    # u >> 11 < 2**53: the conversion, the + 1 and the 2**-53 scaling are
-    # exact, and the 2 pi product rounds once, as in the one-draw formula
-    f = (u >> _U11).astype(np.float64)
-    f[0::2] += 1.0
-    f *= _TWO_POW_MINUS_53
-    f[1::2] *= _TWO_PI
-    u1_and_angle = f.tolist()
-    logs = np.fromiter(map(math.log, u1_and_angle[0::2]), dtype=np.float64, count=f.size // 2)
-    coss = np.fromiter(map(math.cos, u1_and_angle[1::2]), dtype=np.float64, count=f.size // 2)
-    return np.sqrt(-2.0 * logs) * coss
+    z = np.empty(u.size // 2)
+    for start in range(0, z.size, _BLOCK):
+        k = (u[2 * start : 2 * (start + _BLOCK)] >> _U11).astype(np.float64)  # < 2**53: exact
+        radius = np.sqrt(_MINUS_TWO * _log_u1(k[0::2]))
+        np.multiply(radius, _cos_2pi_u2(k[1::2]), out=z[start : start + _BLOCK])
+    return z
+
+
+def _log_u1(k: np.ndarray) -> np.ndarray:
+    """log u1 for u1 = (k + 1) 2**-53 in (0, 1], from exact or correctly rounded steps.
+
+    With u1 = m 2**e, m in [sqrt(1/2), sqrt(2)), and the centre c = 1 + j/64 next to m on the
+    side of 1, log u1 = e log 2 + log c + 2 atanh(s) for s = (m - c)/(m + c). log c and
+    atanh(s) share a sign, so their sum never cancels, and u1 = 1 gives exactly 0. Within
+    2 ulp of log u1; 1.5 ulp was the worst over 200,000 draws.
+    """
+    m, e = np.frexp((k + _ONE) * _POW_MINUS_53)
+    low = m < _SQRT_HALF
+    m = np.ldexp(m, low)
+    e = np.subtract(e, low, dtype=np.float64)
+    d = m * _64 - _64  # 64 (m - 1), exact
+    j = np.trunc(d)  # toward 0
+    s = (d - j) / ((d + j) + _128)  # d - j is exact
+    x = s * s
+    atanh = s + s * (x * (_A3 + x * (_A5 + x * _A7)))
+    return e * _LN2_HI + (_LOG_1P[j.astype(np.intp)] + (e * _LN2_LO + _TWO * atanh))
+
+
+def _cos_2pi_u2(k: np.ndarray) -> np.ndarray:
+    """cos(2 pi u2) for u2 = k 2**-53 in [0, 1), from exact or correctly rounded steps.
+
+    256 u2 = r + t, with integer r in [0, 256] and |t| <= 1/2 both exact, and
+    cos(2 pi u2) = cos(r pi/128 + phi) for phi = t pi/128, by angle addition. Within 7e-16
+    of cos(2 pi u2); 1.1e-16 was the worst over 200,000 draws.
+    """
+    a = k * _POW_MINUS_45
+    r = np.rint(a)
+    phi = (a - r) * _PI_OVER_128
+    x = phi * phi
+    one_minus_cos = x * (_H2 + x * (_H4 + x * _H6))
+    sin = phi + phi * (x * (_S3 + x * (_S5 + x * _S7)))
+    r = r.astype(np.intp)
+    cos_r = _COS[r]
+    return cos_r - (cos_r * one_minus_cos + _SIN[r] * sin)
 
 
 def uniforms(words: np.ndarray, low: float, high: float) -> np.ndarray:
     """One float64 uniform over [low, high) per uint64 word: low + (high - low) * ((word >> 11) * 2**-53)."""
     # word >> 11 < 2**53: the conversion and the 2**-53 scaling are exact
-    return low + (high - low) * ((words >> _U11) * _TWO_POW_MINUS_53)
+    return low + (high - low) * ((words >> _U11) * _POW_MINUS_53)
 
 
 def randints(words: np.ndarray, low: int, high: int) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 from dynact import cli
 from dynact.cli import main
 from dynact.fitting import fit_dyisru, fit_dyt, mirror_augment
+from dynact.rng import STREAM_VERSION
 from dynact.simulation import SimulationConfig, outlier_points, run_scenario
 
 # a seed lies in [-2**63, 2**64 - 1]; one past either end is refused before anything is drawn
@@ -146,6 +147,7 @@ class TestSimulate:
         }
         manifest = assert_manifest_lists_directory(out, "simulate")
         assert manifest["seed"] == 0
+        assert manifest["stream"] == STREAM_VERSION == 2
 
     def test_defaults_are_the_library_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -314,6 +316,7 @@ class TestFit:
         assert doc["n_points"] == 9
         manifest = assert_manifest_lists_directory(out, "fit")
         assert manifest["artifacts"] == ["fit_dyisru.json", "fit_dyisru.svg"]
+        assert "stream" not in manifest  # fit draws nothing
 
     def test_fit_into_the_simulate_directory_keeps_its_input(self, tmp_path):
         # simulate and fit share the default --out, so a fit may read from the directory it writes
@@ -450,7 +453,7 @@ class TestFigures:
         assert {"fig1.svg", "fig3.svg", "frame_s0.svg", "frame_s9.svg"} <= svgs
         assert {"fig1_curves.csv", "scenario.csv", "fig3_residuals.csv"} <= names
         assert {"fit_dyt.json", "fit_dyisru.json", "manifest.json"} <= names
-        assert_manifest_lists_directory(out, "figures")
+        assert assert_manifest_lists_directory(out, "figures")["stream"] == STREAM_VERSION
 
     def test_json_lists_directory(self, tmp_path, capsys):
         out = tmp_path / "figs"

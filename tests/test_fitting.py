@@ -388,7 +388,7 @@ class TestFitDataset:
 # both fits on SimulationConfig(seed=s, channels=c), s = 0..19, c in {3, 100,
 # 1024}; a BracketFailure records a fixed token. Any change to the fitted
 # numbers, the bracket search or the residuals moves it.
-GOLDEN_FIT_SHA256 = "63fde76087dd8aa1275ad27af9932f6cfc782b27909c9b1e934a10d5d5649af6"
+GOLDEN_FIT_SHA256 = "50581e4515a8ad04d6dbad3457e6320efb9330ea491500639c1395cccccf3a40"
 
 
 def test_golden_fit_digest():

@@ -1,15 +1,21 @@
 """The counter stream is frozen: these draws feed every CSV and report.
 
-``STREAM_DIGESTS`` was computed with the per-draw scalar Box-Muller code
-(one ``u64`` pair, ``math.log`` and ``math.cos`` per value). Any change that
-moves a bit of ``normals`` or the counter it leaves behind fails here. The
-scalar draws are ``scalar_draws.ScalarRng``'s, the oracle that ``uniforms``
-and ``randints`` must match bit for bit.
+``STREAM_DIGESTS`` is stream version 2, whose log and cos are built from IEEE
+basic operations and correctly rounded tables. Any change that moves a bit of
+``normals`` or the counter it leaves behind fails here. The scalar draws are
+``scalar_draws.ScalarRng``'s, the oracle that ``normals``, ``uniforms`` and
+``randints`` must match bit for bit.
 """
 
 import ast
+import decimal
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +25,7 @@ from hypothesis import strategies as st
 
 from scalar_draws import ScalarRng
 
+from dynact import rng as rng_module
 from dynact.rng import CounterRng, randints, uniforms
 
 SEEDS = (0, 1, 7, -1, 2**40 + 3)
@@ -27,26 +34,26 @@ SIZES = (0, 1, 2, 3, 100, 4096)
 
 # (seed, stream) -> (sha256 of the transcript, the u64 drawn after it)
 STREAM_DIGESTS = {
-    (0, ""): ("7a96c697f6f4b7739e2bb731f38aed9524de38549db7435d07006bab8db5e2b5", 0xBF6E8323968673E5),
-    (0, "sample_base"): ("028e5d50b50c87a42a1d747c1a4b5c9a2078858a69d53a4bd436a8df35bfd333", 0xE42B2B0C31DC9482),
-    (0, "ln_derivative_vs_fd"): ("d451d78d282af12a62035ff971fc0c8f0f6a547edb5b3db9b5d4d1c05203f78d", 0xEF6F11B6BB2218DA),
-    (0, "channel_exact_beta_vs_ln"): ("a833dc3c0666ac182416d25e1016b33823306e02066b14c68ccbca52ed00311d", 0xD637F52BF22D9529),
-    (1, ""): ("df6fc33d76e212f5e9965544a07ead10d17095fec43082c8a71a75d072e698e7", 0x061F7A40BADBAF5E),
-    (1, "sample_base"): ("3f01ea9d27aba059684437b9a10bb1b4c41cfd15b90d687202a2deca66e3ea0a", 0x0B1BCDACF5136D6E),
-    (1, "ln_derivative_vs_fd"): ("baef1a2a9f843f94bad25fbf3850816c312d5391320b85732fe20991125f306d", 0x368485CF0AB654EF),
-    (1, "channel_exact_beta_vs_ln"): ("f9eba228c25dd9d5cd52c369fc0d9941b3f9b650e2c29dae1a092f1acf0c5be9", 0x514E239613F04BFA),
-    (7, ""): ("e04d5b6498a4f860b1cf58c7ef760851a5e209ed65501f80272fe01835a42473", 0xB350215785C20B9B),
-    (7, "sample_base"): ("cb3ef6f39272944adab9738835d5f5bf3a936bcae226da0bc6d3c7e125b15b47", 0x55715F8982F49946),
-    (7, "ln_derivative_vs_fd"): ("b51fc43e6cbf68de44ca6219ac1333e66da53b1714a91ea380daea39c75a0183", 0x5521E4E9C1026855),
-    (7, "channel_exact_beta_vs_ln"): ("6b339c4f5655c9c45688a1ac3e2b7fb585e14e3a1cf6f2ee78e688230937b2c9", 0xB81871A01ACEDFAB),
-    (-1, ""): ("c937ac9414046629dfd378900f9097f5b1279b39c3769182f4b1069e52f37f0d", 0xFA4AA6F5A2FA460F),
-    (-1, "sample_base"): ("c1cd51d1bf5e56ab25dfcc96761045d9ac6d2eb5223800ee409f4191f9ae3501", 0xBBCA569ED5EE9FBB),
-    (-1, "ln_derivative_vs_fd"): ("f8824556a9caa78c1d20078af5f77a6a9ecd62c3c03bf25c8620c3c7cfb0100a", 0xEBCB3CFA03BC2C56),
-    (-1, "channel_exact_beta_vs_ln"): ("3358192a408afef7932ee8e65850150fe65c4ee2702cbbf2e6d21bac833c4401", 0x8E333872F67854AD),
-    (2**40 + 3, ""): ("0c2ac2396766a4329fc6aa3cf671f2a23a9a31f4fcfc23155428615589219e89", 0x4A8361882E7030D7),
-    (2**40 + 3, "sample_base"): ("e7023cc37ffa2696b58c6e62ab11e58cab1fbed2861e81f36471a0a668060ef6", 0xE4E0BBFFDD668813),
-    (2**40 + 3, "ln_derivative_vs_fd"): ("87f73dff5db60e924e57d163c71093994322474d3830e7d30a1283bf17e661dc", 0xD89D6E0655B950BF),
-    (2**40 + 3, "channel_exact_beta_vs_ln"): ("435f7e2e12bf1a7191e75a402aa8fc74c81937d9498b37ca2e5fb57f6bae7b06", 0xEDFA640E45E8B622),
+    (0, ""): ("ec6545ce1d87561c7a5cf4f99e08c5f250bf1be1c0251ae017d17d3726756e9e", 0xBF6E8323968673E5),
+    (0, "sample_base"): ("7980175cdec68811a87abd561cf16d746adcc7c0a1b388fb15c17b70683bac47", 0xE42B2B0C31DC9482),
+    (0, "ln_derivative_vs_fd"): ("5c1ace3254d6dafe4a84ffa0feb891470f0df7461daf278308e591f0ba0b8086", 0xEF6F11B6BB2218DA),
+    (0, "channel_exact_beta_vs_ln"): ("fd758507fd108ba11c7a19fd39036ae2a75d8b040d1750ca48c453cf5fa4dc20", 0xD637F52BF22D9529),
+    (1, ""): ("23baabb875b9f288dd1be72f5cb48ef7e6e8d5f79acc60bb49abcebb6985a45a", 0x061F7A40BADBAF5E),
+    (1, "sample_base"): ("64d795365b9b02b460bc1ac2bbc51cddd62bea65d882587a06e4e60aff2874ec", 0x0B1BCDACF5136D6E),
+    (1, "ln_derivative_vs_fd"): ("3d28e92a7e2e54d02216712846769e2226520c95e20671e0ce629a2c43464ab9", 0x368485CF0AB654EF),
+    (1, "channel_exact_beta_vs_ln"): ("3819ba35da57b05452ec50c686aa3fa92f29276ca286ce8253568b1f5e0084be", 0x514E239613F04BFA),
+    (7, ""): ("b0d1993a1656b414f672f6b4da5a8eb3ac528449c056bfa3191dcb9ccb937777", 0xB350215785C20B9B),
+    (7, "sample_base"): ("26ed536389070a8eab132e9543b27571db8448d2bc512aca32c7db78ce042668", 0x55715F8982F49946),
+    (7, "ln_derivative_vs_fd"): ("3e92b851cf4ed33926058a44163788a2cd58327260f00c6a2bceb9e58ea284c3", 0x5521E4E9C1026855),
+    (7, "channel_exact_beta_vs_ln"): ("9f17cacf5c8afd7a14fd8af73c46562f9e6c1ecb6853b73c1121ce7da17ee188", 0xB81871A01ACEDFAB),
+    (-1, ""): ("c0a4873b82cb7e26a43e0bf006f4549dce6b40371fe4e88cbc18f5cd319951e1", 0xFA4AA6F5A2FA460F),
+    (-1, "sample_base"): ("db70d98d7ceb270cadb6dbccbd7eb5404dda80da57725613d9298bfd20094119", 0xBBCA569ED5EE9FBB),
+    (-1, "ln_derivative_vs_fd"): ("9d2a97a0eb5d33400a5819edeaf63fbdfca0c45af9a25a7f5353e60316dc0eb9", 0xEBCB3CFA03BC2C56),
+    (-1, "channel_exact_beta_vs_ln"): ("6693d5b7cbf1d73dec780f9e3314ac6c49f1aaa71f8d4b2d2aa2675826c53b09", 0x8E333872F67854AD),
+    (2**40 + 3, ""): ("b16bd79484b55707dd0ac357c5742fec6e61943e4faae8fa9f31a35094aef93d", 0x4A8361882E7030D7),
+    (2**40 + 3, "sample_base"): ("5e30508c93c7e996ab5476a03d16c59700aa9ec73110ed1e63af3125cdac0f48", 0xE4E0BBFFDD668813),
+    (2**40 + 3, "ln_derivative_vs_fd"): ("513a339fb3475caf8a4285f1e3f5d1a63fea621b194cdc91389d59032a296643", 0xD89D6E0655B950BF),
+    (2**40 + 3, "channel_exact_beta_vs_ln"): ("a525b5dc8b2f0b2ae87cfcce6786c827fabb6b0cc741d8e1916f08ea4d3d8e5c", 0xEDFA640E45E8B622),
 }
 
 
@@ -63,16 +70,6 @@ def _transcript(seed: int, stream: str) -> tuple[str, int]:
         h.update(rng.normals(n).tobytes())
         h.update(_scalar_draws(rng))
     return h.hexdigest(), rng.u64()
-
-
-def _reference_normals(rng: ScalarRng, n: int) -> np.ndarray:
-    """Box-Muller one draw at a time: u1 in (0, 1] from one u64, u2 in [0, 1) from the next."""
-    out = []
-    for _ in range(n):
-        u1 = ((rng.u64() >> 11) + 1) * 2.0**-53
-        u2 = (rng.u64() >> 11) * 2.0**-53
-        out.append(math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
-    return np.array(out, dtype=np.float64)
 
 
 @pytest.mark.parametrize("stream", STREAMS)
@@ -93,10 +90,171 @@ def test_normals_match_scalar_reference_bit_for_bit(seed, stream, skip, n):
     for _ in range(skip):
         assert fast.u64() == ref.u64()
     got = fast.normals(n)
-    want = _reference_normals(ref, n)
+    want = np.array([ref.normal() for _ in range(n)], dtype=np.float64)
     assert got.dtype == np.float64 and got.shape == (n,)
     assert got.tobytes() == want.tobytes()
     assert fast.u64() == ref.u64()
+
+
+def test_normals_match_scalar_reference_across_blocks():
+    # normals are computed in blocks of rng._BLOCK draws: the last block is partial
+    n = 2 * rng_module._BLOCK + 3
+    fast, ref = ScalarRng(5, "sample_base"), ScalarRng(5, "sample_base")
+    assert fast.normals(n).tobytes() == np.array([ref.normal() for _ in range(n)]).tobytes()
+    assert fast.u64() == ref.u64()
+
+
+# 50-digit decimal references for the tables and for log u1 and cos(2 pi u2)
+CTX = decimal.Context(prec=50)
+
+
+def _pi() -> Decimal:
+    """pi to 50 digits, by the series in the decimal module's documentation."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        last, t, s, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while s != last:
+            last = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = t * n / d
+            s += t
+    return CTX.plus(s)
+
+
+def _cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x to 50 digits, by their Taylor series at 65 digits (|x| <= 2 pi loses 3)."""
+    with decimal.localcontext(decimal.Context(prec=65)):
+        x2, cos, sin, k = x * x, Decimal(1), x, 0
+        term_c, term_s = Decimal(1), x
+        while abs(term_c) > Decimal("1e-70"):
+            k += 2
+            term_c = -term_c * x2 / ((k - 1) * k)
+            term_s = -term_s * x2 / (k * (k + 1))
+            cos, sin = cos + term_c, sin + term_s
+    return CTX.plus(cos), CTX.plus(sin)
+
+
+def _rounded(v: Decimal) -> float:
+    """The double nearest v, where v is off the real value by at most 1e-48 relative to 1."""
+    f = float(v)  # correctly rounded from v's digits
+    # no double-rounding: the real value is on f's side of the midpoint too
+    assert abs(v - Decimal(f)) < Decimal(math.ulp(f)) / 2 - Decimal("1e-48") or v == Decimal(f)
+    return f
+
+
+with decimal.localcontext(CTX):
+    PI = _pi()
+    # cos and sin of r pi/128 for r = 0 .. 256; the multiples of pi/2 are exact
+    COS_SIN_GRID = [
+        (Decimal((1, 0, -1, 0)[r // 64 % 4]), Decimal((0, 1, 0, -1)[r // 64 % 4])) if r % 64 == 0
+        else _cos_sin(PI * r / 128)
+        for r in range(257)
+    ]
+    LN2, LN_GRID = CTX.ln(2), [CTX.ln(Decimal(j) / 2048) for j in range(1024, 2049)]
+    ATANH_TERMS = [Decimal(1) / (2 * i + 1) for i in range(7, -1, -1)]  # |s| < 2.5e-4: s**16 < 1e-57
+    COS_TERMS = [Decimal((-1) ** i) / math.factorial(2 * i) for i in range(9, -1, -1)]  # |phi| < 0.0123
+    SIN_TERMS = [Decimal((-1) ** i) / math.factorial(2 * i + 1) for i in range(9, -1, -1)]
+    PHI_UNIT = PI / 2**52  # 2 pi 2**-53
+
+
+def test_tables_are_correctly_rounded():
+    with decimal.localcontext(CTX):
+        logs = [_rounded(CTX.ln(Decimal(j) / 64)).hex() for j in range(46, 91)]
+        assert [v.hex() for v in rng_module._LOG_CENTRES.tolist()] == logs
+        assert [v.hex() for v in rng_module._COS.tolist()] == [_rounded(c).hex() for c, _ in COS_SIN_GRID]
+        assert [v.hex() for v in rng_module._SIN.tolist()] == [_rounded(s).hex() for _, s in COS_SIN_GRID]
+        # ln 2 in two parts; the high part has 32 significant bits, so e * hi is exact for |e| < 2**21
+        hi, lo = float(rng_module._LN2_HI), float(rng_module._LN2_LO)
+        assert hi.as_integer_ratio()[0] < 2**32
+        assert abs(Decimal(hi) + Decimal(lo) - LN2) < Decimal(2) ** -85
+
+
+DRAWS = 200_000
+
+
+def _log_reference(k: int) -> Decimal:
+    """log u1 for u1 = (k + 1) 2**-53, to 50 digits: 2 atanh about the nearest multiple of 1/2048."""
+    big = k + 1
+    n = (big - 1).bit_length()  # u1 = x 2**(n - 53) with x = big 2**-n in (1/2, 1]
+    j = ((big << 12) + (1 << n)) >> (n + 1)  # round(2048 x)
+    s = Decimal((big << 11) - (j << n)) / ((big << 11) + (j << n))  # (x - c)/(x + c), c = j/2048
+    x, acc = s * s, Decimal(0)
+    for term in ATANH_TERMS:
+        acc = acc * x + term
+    return LN_GRID[j - 1024] + 2 * s * acc + (n - 53) * LN2
+
+
+def _cos_reference(k: int) -> Decimal:
+    """cos(2 pi u2) for u2 = k 2**-53, to 50 digits: the nearest r pi/128 plus a Taylor series."""
+    r = (k + 2**44) >> 45
+    phi = (k - (r << 45)) * PHI_UNIT  # |phi| <= pi/256
+    x, cos, sin = phi * phi, Decimal(0), Decimal(0)
+    for c, s in zip(COS_TERMS, SIN_TERMS):
+        cos, sin = cos * x + c, sin * x + s
+    cos_r, sin_r = COS_SIN_GRID[r]
+    return cos_r * cos - sin_r * sin * phi
+
+
+def test_log_and_cos_are_accurate():
+    # within 2 ulp and 7e-16 absolute of 50-digit references; measured 1.47 ulp and 1.1e-16
+    k = (CounterRng(2026, "accuracy").peek(2 * DRAWS) >> np.uint64(11)).astype(np.float64)
+    logs, coss = rng_module._log_u1(k[0::2]).tolist(), rng_module._cos_2pi_u2(k[1::2]).tolist()
+    worst_log = worst_cos = Decimal(0)
+    ks = k.astype(np.int64).tolist()
+    with decimal.localcontext(CTX):
+        for k1, k2, got_log, got_cos in zip(ks[0::2], ks[1::2], logs, coss):
+            want = _log_reference(k1)
+            worst_log = max(worst_log, abs(Decimal(got_log) - want) / Decimal(math.ulp(float(want))))
+            worst_cos = max(worst_cos, abs(Decimal(got_cos) - _cos_reference(k2)))
+    assert worst_log <= 2 and worst_cos <= Decimal("7e-16"), (worst_log, worst_cos)
+
+
+def test_edges_of_u1_and_u2():
+    # k = word >> 11; u1 = (k + 1) 2**-53 and u2 = k 2**-53
+    top = 2**53 - 1
+    assert rng_module._log_u1(np.array([float(top)])).tolist() == [0.0]  # u1 = 1: exactly 0, no clamp
+    words = np.array([top << 11, 12345 << 11, top << 11, top << 11], dtype=np.uint64)
+    assert rng_module._box_muller(words).tolist() == [0.0, 0.0]
+    # the smallest u1, 2**-53, gives log = -53 log 2 and a finite draw
+    smallest = rng_module._box_muller(np.array([0, 0, 0, 2**52 << 11], dtype=np.uint64))
+    assert np.isfinite(smallest).all()
+    radius = math.sqrt(106 * math.log(2))  # 8.57
+    assert smallest.tolist() == pytest.approx([radius, -radius], rel=1e-15)
+    # u2 = 0, 1/4, 1/2 and 3/4 fall on table entries exactly
+    quarters = np.array([0.0, 2.0**51, 2.0**52, 3 * 2.0**51])
+    assert rng_module._cos_2pi_u2(quarters).tolist() == [1.0, 0.0, -1.0, 0.0]
+
+
+def _dispatched_features() -> list[str]:
+    """numpy's dispatched CPU features, beyond its baseline, that run on this machine."""
+    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+TRANSCRIPTS = """
+import json
+import test_rng
+print(json.dumps({
+    "features": test_rng._dispatched_features(),
+    "digests": [[seed, stream, *test_rng._transcript(seed, stream)] for seed, stream in test_rng.STREAM_DIGESTS],
+}))
+"""
+
+
+def test_stream_digests_hold_without_numpy_simd_dispatch():
+    # the stream uses only steps that are exact or correctly rounded on every SIMD path, so
+    # numpy's baseline code must give the frozen digests too
+    features = _dispatched_features()
+    if not features:
+        pytest.skip("no CPU feature beyond numpy's baseline is on in this process")
+    paths = [Path(rng_module.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    path = os.pathsep.join([*map(str, paths), *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features), PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", TRANSCRIPTS], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["features"] == []
+    assert {(seed, stream): (digest, after) for seed, stream, digest, after in doc["digests"]} == STREAM_DIGESTS
 
 
 @pytest.mark.parametrize("n", [-1, -4096])
