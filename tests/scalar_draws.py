@@ -16,8 +16,9 @@ import math
 from dynact import rng
 from dynact.rng import _GOLDEN, _MASK, _MIX1, _MIX2, CounterRng
 
-LOG_CENTRES = dict(zip(range(46, 91), rng._LOG_CENTRES.tolist()))  # j -> log(j/64)
-COS, SIN = rng._COS.tolist(), rng._SIN.tolist()  # cos and sin of r pi/128, r = 0 .. 256
+LOG_HI = dict(zip(range(46, 91), rng._LOG_HI.tolist()))  # j -> log(j/64), high part
+LOG_LO = dict(zip(range(46, 91), rng._LOG_LO.tolist()))  # and low part
+COS, COS_LO, SIN = rng._COS.tolist(), rng._COS_LO.tolist(), rng._SIN.tolist()  # of r pi/128, r = 0 .. 256
 LN2_HI, LN2_LO = float(rng._LN2_HI), float(rng._LN2_LO)
 
 
@@ -31,7 +32,7 @@ def log_u1(k: int) -> float:
     s = (d - j) / ((d + j) + 128.0)
     x = s * s
     atanh = s + s * (x * (1 / 3 + x * (1 / 5 + x * (1 / 7))))
-    return e * LN2_HI + (LOG_CENTRES[64 + j] + (e * LN2_LO + 2.0 * atanh))
+    return (e * LN2_HI + LOG_HI[64 + j]) + ((e * LN2_LO + LOG_LO[64 + j]) + 2.0 * atanh)
 
 
 def cos_2pi_u2(k: int) -> float:
@@ -42,7 +43,7 @@ def cos_2pi_u2(k: int) -> float:
     x = phi * phi
     one_minus_cos = x * (1 / 2 + x * (-1 / 24 + x * (1 / 720)))
     sin = phi + phi * (x * (-1 / 6 + x * (1 / 120 + x * (-1 / 5040))))
-    return COS[r] - (COS[r] * one_minus_cos + SIN[r] * sin)
+    return COS[r] + (COS_LO[r] - (COS[r] * one_minus_cos + SIN[r] * sin))
 
 
 def finalize(z: int) -> int:

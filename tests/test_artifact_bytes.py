@@ -14,22 +14,22 @@ from dynact.cli import main
 from dynact.simulation import SimulationConfig, run_scenario, scenario_to_csv
 
 SCENARIO_DIGESTS = [
-    (SimulationConfig(seed=0), "0d27a3eaf6cb34f94f2b4fb51ef00f858025e300af6f86b3696a8d2939df7f89"),
-    (SimulationConfig(seed=1), "fecc50c12c5d7929e59522ce1b0677fd23e46581833072bcf9131e15a34077dc"),
-    (SimulationConfig(seed=2), "e64bca7525d15f4cf6d9401ab3129159bd111fdf21c38141d999063fab5db6ee"),
-    (SimulationConfig(seed=3), "920eedb005250d4a16fb5465a7cd13038f39031bf9f30b6bc4effebb51a61cfa"),
-    (SimulationConfig(seed=4), "5a0dc164d9e72b830b1644c0d4c06fbfd51b3572a76bf67738d9caccfa2b359e"),
+    (SimulationConfig(seed=0), "d1b8fe8ca5193187410d5508501cb6fd06412fb27f026cb053fd652a966c555d"),
+    (SimulationConfig(seed=1), "23684eef99f507f332fe530a3fe4889f4aeee85eaa58efbdfce2e1f84f7b7b84"),
+    (SimulationConfig(seed=2), "dbd82440730220d55a28cd87020ab6f1d68d16d0abe5033f12fa77422268b43b"),
+    (SimulationConfig(seed=3), "3076cee222d332687831c683e2baea8de6b2e9c224937fff782e39317c326b79"),
+    (SimulationConfig(seed=4), "3578b3edc60460e940f09bf7bb73f5a1291111af092c8581f403a6eaa159ea50"),
     (
         SimulationConfig(channels=1024, s_max=16, seed=501),
-        "af04e9dc32cdd5dc63d905b6147290a6081b6330593886c27e3461ffed8c37d6",
+        "d3fb1a6c80559490ac683805a5cac83c9441282d9685841aac199956123a2937",
     ),
     (
         SimulationConfig(channels=2, s_max=0, seed=0),
-        "a6ca0e49fb968768d3456817e13491e50a49a66a4beacfa262f98207ac3fc4bc",
+        "d294759126c47ff00af0d2296662b9a689acd5e8e2d89cb52dd3907d8dc96691",
     ),
     (
         SimulationConfig(mu=-3.0, step=0.5, seed=11),
-        "4c147d472677073032309790190ce0271281c22ae19a0678df682a542a9b6aaf",
+        "85c6ed52d3976483bb154cca9b89123e7d4558d4fe0dc89ec09b9211216b4eaa",
     ),
 ]
 
@@ -37,15 +37,15 @@ FIGURES_SEED0_DIGESTS = {
     "fig1.svg": "3d1af42d6dab876f94a3f20083917a9cbb641bbecbdd26fd026fc3d827f061ee",
     "fig1_curves.csv": "38cfc5c795648a295fb4d2d8c2229f7541d689b62690a59b52a92ef24d57676d",
     "fig3.svg": "0ca46cee9da9c3765f4cf379a6888c1ce8da36e3268497318611ce9b04c14f37",
-    "fig3_residuals.csv": "9c114c46a44351f9efccefcc2821422600b1a6604eb5a57f10ed3fbaf56bb048",
-    "fit_dyisru.json": "0bbbe3784abfcfd29880023685ab3e11a093016deae5118b9127c8b0985470be",
-    "fit_dyt.json": "10e1584eb69c1fd83aa98270551242e74e6e5a0cf73a1637c14102abf03496ba",
+    "fig3_residuals.csv": "5170b04c50b2dd8888ac57f9d59dce40205a9f57ddea64d70fed7342344d7aa5",
+    "fit_dyisru.json": "b0b2e1390dfc4f568bf831b1e0b1c562b1f88217c0f690534a376b75ef352aa9",
+    "fit_dyt.json": "d6acf5db77a6702108bf12284ed586b890e3368203ab28dc3a707d0286fe4937",
     "frame_s0.svg": "2699cd81e1ebee7f36f40ada2d91547ee37fa617702bf11ddedc68fe8131b31a",
     "frame_s1.svg": "725ac73f4459fd1a6d81a9cc55fab689d10384b6c99303b732baf7eec91c39f6",
     "frame_s2.svg": "4186b8b43a84989f51f653403de3a29ce8a5bba4bbafbb8b632d1c18531a1e16",
     "frame_s9.svg": "38a3bec079b18584c6097d375f12b0ccc54f2cc3118d0f1ef5901d893fc527ea",
     "manifest.json": "423b4faf00cab0a03d4cf0e444b643a99b329329c5be67a7b72c6739704de058",
-    "scenario.csv": "0d27a3eaf6cb34f94f2b4fb51ef00f858025e300af6f86b3696a8d2939df7f89",
+    "scenario.csv": "d1b8fe8ca5193187410d5508501cb6fd06412fb27f026cb053fd652a966c555d",
 }
 
 SIMULATE_C1024_SEED3_DIGESTS = {
@@ -54,18 +54,18 @@ SIMULATE_C1024_SEED3_DIGESTS = {
     "frame_s2.svg": "2fba7669c308d066e7ff01530fd4ebfb7319cc27efc8f36fd3eccce7c60fe3ff",
     "frame_s9.svg": "a725a25c485e8d40d02efad149c297351aa3c09ecb2a46304926284ddd5498be",
     "manifest.json": "6a7b65787f700d235ffd811cc07151e378cf7ecf7f70d5073afcee050e21e0ee",
-    "scenario.csv": "af7c3e14f47c8d13339768834fd305aaf355335d207d9a7992f2236b2be42d6d",
+    "scenario.csv": "56ff46c0140506455724386dfffdfb7498a26adcb8a7f79bf26f4107368968de",
 }
 
 # `fit --input <simulate --seed 0>/scenario.csv`; the manifest is left out
 # because it holds the input path
 FIT_SEED0_DIGESTS = {
     "dyt": {
-        "fit_dyt.json": "10e1584eb69c1fd83aa98270551242e74e6e5a0cf73a1637c14102abf03496ba",
+        "fit_dyt.json": "d6acf5db77a6702108bf12284ed586b890e3368203ab28dc3a707d0286fe4937",
         "fit_dyt.svg": "f79711d6c2099fbd0ec2736df9f1fccd5bb411474e9a27028264d171ba807851",
     },
     "dyisru": {
-        "fit_dyisru.json": "0bbbe3784abfcfd29880023685ab3e11a093016deae5118b9127c8b0985470be",
+        "fit_dyisru.json": "b0b2e1390dfc4f568bf831b1e0b1c562b1f88217c0f690534a376b75ef352aa9",
         "fit_dyisru.svg": "a62180684827308e12509d574603ef721bacd6dbecbca3151df9ab99190255f7",
     },
 }

@@ -388,7 +388,7 @@ class TestFitDataset:
 # both fits on SimulationConfig(seed=s, channels=c), s = 0..19, c in {3, 100,
 # 1024}; a BracketFailure records a fixed token. Any change to the fitted
 # numbers, the bracket search or the residuals moves it.
-GOLDEN_FIT_SHA256 = "50581e4515a8ad04d6dbad3457e6320efb9330ea491500639c1395cccccf3a40"
+GOLDEN_FIT_SHA256 = "8cb374034a5def3cd1f7a97be719c006f55b077d6b40caf1412d5d8d4d3833c9"
 
 
 def test_golden_fit_digest():

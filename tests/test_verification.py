@@ -262,22 +262,24 @@ class TestReport:
 # and every digest when the rng stream became version 2; before that, every
 # other field was what the per-channel scalar implementation gave.
 GOLDEN_REPORT_SHA256 = {
-    (0, 10): "c0820926928357ef8f828543fb6b27fe9349eb27f483cb8d266c69c85e309510",
-    (1, 10): "612b4f0318e417402a6d8db22d029984bcef583698fc1db415a514eb7b88fbbd",
+    (0, 10): "5160650b078c0fb061eefe89b8672814f0ca6dfc3386daac367d523fb604eb7c",
+    (1, 10): "b59b9f81fd1ef9f6ddb7e43c87143b6cb76153cbf4fc441bcc3e9c686937c749",
     (2, 10): "d36ea778ea0ff4a1a13ccaab0ff5191e60ea48e0bcb3c26e7484331dddee5508",
-    (3, 10): "3fa4bdbd37cbc6d0c87f6c2a826312945b78ebbb3273d93e044a06694f801dad",
-    (4, 10): "e176398da13ca70a67aa306f7d277ef0e494ced1032ec782d9050bbb612c8dcc",
+    (3, 10): "c808eee01deb051b04cb558c8e2f94d4c81f97557b23c5acbb3834376e1c86f1",
+    (4, 10): "d2f27cf92e4bc914422eb2769700576c1a7fd4a8bdd83a726336407428f7238c",
     (5, 10): "690094e58226839264fdc4babbadec9341b690466e1b20ce9d405f332fe33e33",
-    (6, 10): "69e61734d91dfbab40ef012e43a241f0398556bcab6fd5cf8b9e68c26586cbb5",
-    (7, 10): "a97ba8e824a6cb96a03d401d2e155de9f7c42251704b9e84367248095b5df2a1",
-    (8, 10): "eabd6c532a51763849cd927843e19db0da9f99070f4212ab768e37452790bc6d",
-    (9, 10): "a14f8105a25a5ebb6d244451243fe9d97933e5f4c71510fb9f222f40b636f6a5",
-    (1, 100): "bc589984ce01424f209efa1a3522fdcac3061c7fe8db13b9c6e4ecc81d210568",
-    # one trial, partial chunks, many chunks, and a report whose check 1 fails
-    (11, 1): "9b12bd76f9d0c441ea5fc0224623dd2e841edd939b813604a18f4b7264973d27",
-    (12, 7): "89c47023c4a1bddea1d7cb56e1b1dcb07e79f2d03596b71a624722de8cc23ba8",
-    (13, 33): "a38c46e40820d8f7b8c1c93d426e1beea9ea02cca2f61bf91faf2e3e84db7c27",
-    (75, 100): "1a4b3b116002b36a5988a4348a8249eb49a9303e6fbb5e53b9c55b9697a74e58",
+    (6, 10): "4dce44f6ab8ff7b0049b12d5a373acd53e6b135b5da8f5ee066b45938b132bca",
+    (7, 10): "7fe98130d6ea9de7ee9569d6da8a454a403afa1c5cf159d9e8f23cfe8d3c8d14",
+    (8, 10): "705b47ad726fe00f57fc1d9366c23723a3f1abb6343df8cb3c32f3942603fc75",
+    (9, 10): "11d99e725b975f3df2fc89e549ad8ecac73b6a7c916b6236ee01bcefca98552c",
+    (1, 100): "c2af2dbcbbfdf4c5ac79ee4eccc5ff6f90e564110af308d2d514f5a2fbb3556e",
+    # one trial, partial chunks, many chunks, and reports whose check 1 fails (119) or
+    # failed before stream version 2 (75)
+    (11, 1): "b0442e3b6602d489a8c96d64ea9b10a512d5326ffad14b8107ef7b648da49330",
+    (12, 7): "e363ccf2a857cbeb73db7548ea108bc8cef2a487e0d64650d033418de1235086",
+    (13, 33): "3b844f3a1cc7c81fd8c23934037cdff4219529e48e134c828bd6122b3a3e2671",
+    (75, 100): "4d17d81f1fab052b7f7df37ceec7a18d1f68aee04179d5ead37f42e797fa6a2c",
+    (119, 100): "af57bcdcb4b224ead7548f9b50b3800e77fec8901c1691e33c022b86f519a28d",
 }
 
 
@@ -377,7 +379,7 @@ def test_check5_draws_match_per_trial_oracle(trials):
 
 # sha256 of _draw_vector's bytes over seeds 0-199, each seed one check 1 stream
 # drawn at C = 2, 3, 10, 100 in turn; the benchmark replays check 1 through it.
-DRAW_VECTOR_SHA256 = "b3ba5e176a58f8ab25193efc1dad7a06d8fd3a6c68c61450e4c927eda361c4e8"
+DRAW_VECTOR_SHA256 = "e4ad9333742062050a310bbf4329fb6c286d3e61f28d0fd51529369fe7484f64"
 
 
 def test_draw_vector_bytes_match_golden():
